@@ -113,16 +113,17 @@ def psi(i: int) -> RationalFunction:
     """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]).
 
     Each quotient [4k]/[2k] reduces to the polynomial 1 + q^(2k), so the
-    canonical result is a polynomial.
+    canonical result is a polynomial.  Built as psi(i-1) [2i-1] [4i]/[2i],
+    so a run over i = 1..n makes O(n) products, not O(n^2).
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    acc = RF_ONE
-    for k in range(1, i + 1):
-        acc = acc * RationalFunction(q_int(4 * k), q_int(2 * k))
-        if k >= 2:
-            acc = acc * RationalFunction(q_int(2 * k - 1))
-    return acc
+    prev = psi(i - 1) if i > 1 else RF_ONE
+    return (
+        prev
+        * RationalFunction(q_int(2 * i - 1))
+        * RationalFunction(q_int(4 * i), q_int(2 * i))
+    )
 
 
 @lru_cache(maxsize=None)

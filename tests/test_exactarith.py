@@ -2,11 +2,15 @@
 
 import cmath
 
+from math import gcd
+
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qexpand.exactarith import (
+    _KRONECKER_MIN,
     IntPolynomial,
     ONE,
     PoleError,
@@ -35,6 +39,20 @@ nonzero_rationals = st.builds(RationalFunction, small_nonzero, small_nonzero)
 
 
 class TestIntPolynomial:
+    def test_constructor_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            P((1.5, 2.7))
+        with pytest.raises(TypeError):
+            P(("3",))
+        with pytest.raises(TypeError):
+            P("12")
+
+    def test_constructor_accepts_lists_ints_and_bools(self):
+        assert P([1, 2, 0]).coeffs == (1, 2)
+        p = P((True, False, 2))
+        assert p.coeffs == (1, 0, 2)
+        assert all(type(c) is int for c in p.coeffs)
+
     def test_canonical_trims_trailing_zeros(self):
         assert P((1, 2, 0, 0)).coeffs == (1, 2)
         assert P((0, 0)).coeffs == ()
@@ -155,6 +173,13 @@ class TestRationalFunction:
         assert rf((2, 2), (-4,)).num.coeffs == (-1, -1)
         assert rf((2, 2), (-4,)).den.coeffs == (2,)
 
+    def test_near_miss_of_q_minus_one_power(self):
+        # q(q-1)(q-2) vanishes at q = 1 and starts like (q-1)^3 from the top
+        num = P((-1, 1)) * P((5, 1))
+        for sign in (1, -1):
+            value = RationalFunction(num * sign, P((0, 2, -3, 1)) * sign)
+            assert (value.num, value.den) == (P((5, 1)), P((0, -2, 1)))
+
     def test_add_common_denominator(self):
         assert rf((1,), (1, -1)) + rf((1,), (1, 1)) == rf((2,), (1, 0, -1))
 
@@ -218,3 +243,144 @@ class TestEvaluate:
         except PoleError:
             assume(False)
         assert abs(vxy - vx * vy) <= 1e-9 * max(1.0, abs(vxy), abs(vx * vy))
+
+
+# Differential tests against sympy.  Operand lengths straddle the Kronecker
+# crossover, and coefficients reach past 2**64 in both signs.
+
+QS = sympy.Symbol("q")
+big_coefficients = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+def dense(coeffs, max_len):
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.lists(coeffs, min_size=n, max_size=n).map(lambda cs: P(cs))
+    )
+
+
+def monomials(coeffs):
+    nonzero = coeffs.filter(bool)
+    return st.builds(P.monomial, st.integers(0, 2 * _KRONECKER_MIN), nonzero)
+
+
+def sparse(coeffs, max_len):
+    # about half the coefficients zero, as in the base-q^2 q-integers
+    return st.lists(st.one_of(st.just(0), coeffs), max_size=max_len).map(P)
+
+
+operands = st.one_of(
+    dense(big_coefficients, 3 * _KRONECKER_MIN),
+    dense(st.integers(-3, 3), 3 * _KRONECKER_MIN),
+    sparse(big_coefficients, 3 * _KRONECKER_MIN),
+    monomials(big_coefficients),
+    st.just(ZERO),
+    st.just(ONE),
+    st.just(-ONE),
+)
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], QS, domain="ZZ")
+
+
+def from_sympy(poly):
+    return P(tuple(int(c) for c in reversed(poly.all_coeffs())))
+
+
+def reduced_pair(num, den):
+    """num/den with their shared integer content removed and den's leading
+    coefficient made positive."""
+    shared = gcd(*num.coeffs, *den.coeffs)
+    if den.coeffs[-1] < 0:
+        shared = -shared
+    return (
+        P(tuple(c // shared for c in num.coeffs)),
+        P(tuple(c // shared for c in den.coeffs)),
+    )
+
+
+def q_minus_one(k):
+    return P((-1, 1)) ** k
+
+
+class TestAgainstSympy:
+    @given(operands, operands)
+    @settings(deadline=None)
+    def test_mul(self, x, y):
+        assert x * y == from_sympy(to_sympy(x) * to_sympy(y))
+
+    def test_mul_kronecker_large_signed(self):
+        x = P(tuple((-1) ** k * (2**80 + k) for k in range(3 * _KRONECKER_MIN)))
+        y = P(tuple((-3) ** k for k in range(2 * _KRONECKER_MIN)))
+        assert x * y == from_sympy(to_sympy(x) * to_sympy(y))
+        assert x * -y == -(x * y)
+
+    @given(operands, operands.filter(bool))
+    @settings(deadline=None)
+    def test_exact_div(self, x, y):
+        assert (x * y).exact_div(y) == x
+        quotient, remainder = to_sympy(x).div(to_sympy(y))
+        exact = remainder.is_zero and all(c.is_integer for c in quotient.all_coeffs())
+        if exact:
+            assert x.exact_div(y) == from_sympy(quotient)
+        else:
+            with pytest.raises(ValueError):
+                x.exact_div(y)
+
+    @given(operands, operands, dense(st.integers(-50, 50), 8))
+    @settings(deadline=None)
+    def test_poly_gcd(self, x, y, shared):
+        x, y = x * shared, y * shared
+        assume(x or y)
+        g = from_sympy(to_sympy(x).gcd(to_sympy(y)))
+        # its primitive associate with a positive leading coefficient
+        content = gcd(*g.coeffs) if g.coeffs[-1] > 0 else -gcd(*g.coeffs)
+        assert poly_gcd(x, y) == P(tuple(c // content for c in g.coeffs))
+
+    def check_canonical(self, num, den):
+        value = RationalFunction(num, den)
+        if num.is_zero():
+            assert (value.num, value.den) == (ZERO, ONE)
+            return
+        p, r = to_sympy(num).cancel(to_sympy(den), include=True)
+        expected = reduced_pair(from_sympy(p), from_sympy(r))
+        assert (value.num, value.den) == expected
+
+    @given(
+        operands,
+        st.integers(0, 6),
+        st.integers(0, 12),
+        st.sampled_from([1, -1, 2, -6]),
+        dense(st.integers(-9, 9), 4).filter(bool),
+    )
+    @settings(deadline=None)
+    def test_canonical_over_q_minus_one_powers(self, x, m, k, sign, r):
+        # ±(q-1)^k·r over a numerator with m factors (q-1) of its own
+        self.check_canonical(x * q_minus_one(m), q_minus_one(k) * r * sign)
+
+    @given(operands, operands.filter(bool), dense(st.integers(-9, 9), 6).filter(bool))
+    @settings(deadline=None)
+    def test_canonical_general(self, x, y, shared):
+        self.check_canonical(x * shared, y * shared)
+
+    @given(dense(st.integers(-99, 99), 20), st.integers(0, 8), st.integers(0, 8))
+    @settings(deadline=None)
+    def test_q_minus_one_path_matches_generic_path(self, x, m, k):
+        num = x * q_minus_one(m)
+        # q + 2 makes the denominator miss the (q-1)^k shortcut
+        detour = P((2, 1))
+        for sign in (1, -1):
+            fast = RationalFunction(num * sign, q_minus_one(k) * sign)
+            generic = RationalFunction(num * detour, q_minus_one(k) * detour)
+            assert (fast.num.coeffs, fast.den.coeffs) == (
+                generic.num.coeffs,
+                generic.den.coeffs,
+            )
+        y = RationalFunction(P((1, 2, 3)), q_minus_one(m))
+        cross = RationalFunction(
+            fast.num * y.den + y.num * fast.den, fast.den * y.den
+        )
+        assert fast + y == cross
+        assert fast - y == RationalFunction(
+            fast.num * y.den - y.num * fast.den, fast.den * y.den
+        )
