@@ -22,7 +22,6 @@ from .ordering import (
     SYSTEM_B_XI0,
     SYSTEMS,
     RelationSystem,
-    RewriteRule,
     is_normal,
     normalize,
     rewrite_step,
@@ -69,7 +68,6 @@ __all__ = [
     "parse_word",
     "format_word",
     "RelationSystem",
-    "RewriteRule",
     "SYSTEM_A",
     "SYSTEM_B",
     "SYSTEM_A_C0",

@@ -30,34 +30,19 @@ from .verify import (
 SUITES = ("lemma1", "lemma2", "phi", "recurrences", "degenerations", "identity", "all")
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _at_least(low: int, prefix: str = ""):
+    """An argparse type for integers >= low; prefix starts the range message."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{prefix}must be >= {low}")
+        return value
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _root_order(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 3:
-        raise argparse.ArgumentTypeError("N must be >= 3")
-    return value
+    return parse
 
 
 def _word(text: str) -> str:
@@ -82,31 +67,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("qint", help="print the q-integer [n]")
-    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--base", type=int, choices=(1, 2), default=1,
                    help="exponent base: 1 for q, 2 for q^2")
     _add_format(p)
 
     p = sub.add_parser("qfact", help="print the q-factorial [n]!")
-    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--base", type=int, choices=(1, 2), default=1)
     _add_format(p)
 
     p = sub.add_parser("coeff", help="print one expansion coefficient")
     p.add_argument("--system", choices=("A", "B"), required=True)
-    p.add_argument("--alpha", type=_nonneg, required=True)
-    p.add_argument("--beta", type=_nonneg, required=True)
-    p.add_argument("--gamma", type=_nonneg, required=True)
+    p.add_argument("--alpha", type=_at_least(0), required=True)
+    p.add_argument("--beta", type=_at_least(0), required=True)
+    p.add_argument("--gamma", type=_at_least(0), required=True)
     _add_format(p)
 
     p = sub.add_parser("phi", help="print the correction factor phi_beta")
-    p.add_argument("--beta", type=_nonneg, required=True)
+    p.add_argument("--beta", type=_at_least(0), required=True)
     p.add_argument("--route", choices=("closed", "recursive"), default="closed")
     _add_format(p)
 
     p = sub.add_parser("expand", help="print the expansion of the n-th power")
     p.add_argument("--system", choices=("A", "B"), required=True)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     _add_format(p)
 
     p = sub.add_parser("normalize", help="normal-order a word")
@@ -117,20 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--max-n", type=_positive, default=None,
+    p.add_argument("--max-n", type=_at_least(1), default=None,
                    help="exponent bound for the lemma suites (defaults 8 and 6)")
-    p.add_argument("--bound", type=_positive, default=None,
+    p.add_argument("--bound", type=_at_least(1), default=None,
                    help="index bound for the recurrences (defaults 10 and 8)")
-    p.add_argument("--max-beta", type=_positive, default=40)
-    p.add_argument("--max-i", type=_positive, default=20)
-    p.add_argument("--binomial-bound", type=_positive, default=12)
-    p.add_argument("--multinomial-bound", type=_positive, default=8)
+    p.add_argument("--max-beta", type=_at_least(2), default=40)
+    p.add_argument("--max-i", type=_at_least(1), default=20)
+    p.add_argument("--binomial-bound", type=_at_least(1), default=12)
+    p.add_argument("--multinomial-bound", type=_at_least(1), default=8)
     _add_format(p)
 
     p = sub.add_parser("eval", help="evaluate expansion coefficients at a root of unity")
     p.add_argument("--system", choices=("A", "B"), required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--at-root", type=_root_order, required=True, metavar="N",
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--at-root", type=_at_least(3, "N "), required=True, metavar="N",
                    help="root order N >= 3; the point is sign * exp(2*pi*i/N)")
     p.add_argument("--sign", choices=("+", "-"), default="+")
     _add_format(p)

@@ -30,6 +30,18 @@ def word_sort_key(word: str) -> tuple[int, str]:
     return (len(word), word)
 
 
+def _accumulate(
+    terms: dict[str, RationalFunction], word: str, coeff: RationalFunction
+) -> None:
+    """Add coeff to the term of word, dropping the term when it sums to zero."""
+    merged = terms.get(word)
+    total = coeff if merged is None else merged + coeff
+    if total.is_zero():
+        terms.pop(word, None)
+    else:
+        terms[word] = total
+
+
 def format_word(word: str) -> str:
     """Render a word with powers and middle dots, e.g. 'aab' -> 'a^2·b'."""
     if not word:
@@ -60,15 +72,7 @@ class NCPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[str, RationalFunction] = {}
         for word, coeff in items:
-            parse_word(word)
-            if coeff.is_zero():
-                continue
-            merged = clean.get(word)
-            total = coeff if merged is None else merged + coeff
-            if total.is_zero():
-                clean.pop(word, None)
-            else:
-                clean[word] = total
+            _accumulate(clean, parse_word(word), coeff)
         self._terms = clean
 
     @classmethod
@@ -126,12 +130,7 @@ class NCPolynomial:
             return NotImplemented
         out = dict(self._terms)
         for word, coeff in other._terms.items():
-            merged = out.get(word)
-            total = coeff if merged is None else merged + coeff
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
+            _accumulate(out, word, coeff)
         return NCPolynomial._from_reduced(out)
 
     def __sub__(self, other: NCPolynomial) -> NCPolynomial:
@@ -139,12 +138,7 @@ class NCPolynomial:
             return NotImplemented
         out = dict(self._terms)
         for word, coeff in other._terms.items():
-            merged = out.get(word)
-            total = -coeff if merged is None else merged - coeff
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
+            _accumulate(out, word, -coeff)
         return NCPolynomial._from_reduced(out)
 
     def __neg__(self) -> NCPolynomial:
@@ -165,14 +159,7 @@ class NCPolynomial:
         out: dict[str, RationalFunction] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                merged = out.get(word)
-                total = coeff if merged is None else merged + coeff
-                if total.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = total
+                _accumulate(out, w1 + w2, c1 * c2)
         return NCPolynomial._from_reduced(out)
 
     def __rmul__(self, other: RationalFunction) -> NCPolynomial:

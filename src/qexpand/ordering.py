@@ -5,12 +5,19 @@ toward a target generator order.  A word is normal when its letter ranks
 are non-decreasing from left to right; :func:`normalize` rewrites every
 word of a polynomial into a combination of normal words.
 
+One order governs the engine: deglex under the letter ranks, comparing
+words by length first and then lexicographically.  Every rule is checked
+on construction to replace its pattern by deglex-smaller words.  Deglex
+is a monomial order (Bergman, "The diamond lemma for ring theory", 1978),
+so a rewrite at any position of any word also makes the word smaller, and
+since deglex is a well-order, rewriting terminates for every system that
+passes the check.  Word reduction pops the deglex-largest pending word
+first, so each word is processed once, after every word that can produce
+it.
+
 The default strategy reduces the leftmost out-of-order adjacent pair.  A
 ``choose`` callback can pick any reducible position instead, which the
-test-suite uses to probe confluence.  Every rule is checked on
-construction to replace its pattern by strictly smaller words under the
-(length, inversion count) measure, and word reduction is scheduled by a
-context-safe measure so no intermediate word is ever processed twice.
+test-suite uses to probe confluence.
 
 Inputs are immutable and reduction is pure.  The per-system memo table
 only ever receives identical recomputed values for a given word, so
@@ -20,67 +27,52 @@ normalizations may run concurrently.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .exactarith import IntPolynomial, RF_ONE, RationalFunction
-from .freealgebra import NCPolynomial
+from .freealgebra import GENERATORS, NCPolynomial, _accumulate, parse_word
 from .qnumbers import xi
 
 ChoosePosition = Callable[[str, list[int]], int]
-
-
-def inversion_count(word: str, rank: dict[str, int]) -> int:
-    """Number of letter pairs of the word appearing in decreasing rank order."""
-    count = 0
-    for i, left in enumerate(word):
-        rl = rank[left]
-        for right in word[i + 1 :]:
-            if rl > rank[right]:
-                count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """A two-letter pattern and the linear combination that replaces it."""
-
-    pattern: str
-    replacement: NCPolynomial
 
 
 class RelationSystem:
     """A named rewrite rule set plus the generator order of its normal form."""
 
     def __init__(self, name: str, normal_order: str, rules: dict[str, NCPolynomial]):
+        if sorted(normal_order) != sorted(GENERATORS):
+            raise ValueError(
+                f"normal order {normal_order!r} is not a permutation of {GENERATORS!r}"
+            )
         self.name = name
         self.normal_order = normal_order
         self.rank = {g: i for i, g in enumerate(normal_order)}
-        self.rules = {p: RewriteRule(p, r) for p, r in rules.items()}
+        # letter of rank r -> a character that decreases with r
+        self._table = str.maketrans(
+            normal_order, "".join(sorted(normal_order, reverse=True))
+        )
+        self.rules = dict(rules)
         self._memo: dict[str, NCPolynomial] = {}
-        for rule in self.rules.values():
-            self._check_rule(rule)
+        for pattern, replacement in self.rules.items():
+            self._check_rule(pattern, replacement)
 
-    def _check_rule(self, rule: RewriteRule) -> None:
-        pattern = rule.pattern
+    def order_key(self, word: str) -> tuple[int, str]:
+        """Sort key under which deglex-larger words come first."""
+        return (-len(word), word.translate(self._table))
+
+    def _check_rule(self, pattern: str, replacement: NCPolynomial) -> None:
+        parse_word(pattern)
         if len(pattern) != 2:
             raise ValueError(f"rule pattern must have two letters: {pattern!r}")
-        before = (len(pattern), inversion_count(pattern, self.rank))
-        if before[1] == 0:
+        if is_normal(pattern, self):
             raise ValueError(f"rule pattern {pattern!r} is already normal")
-        for word in rule.replacement.words():
-            after = (len(word), inversion_count(word, self.rank))
-            if not after < before:
+        bound = self.order_key(pattern)
+        for word in replacement.words():
+            if self.order_key(word) <= bound:
                 raise ValueError(
-                    f"replacement word {word!r} does not shrink the "
-                    f"(length, inversions) measure of pattern {pattern!r}"
+                    f"replacement word {word!r} does not shrink pattern "
+                    f"{pattern!r} in the deglex order"
                 )
-
-    def measure(self, word: str) -> tuple[int, int, int]:
-        # strictly decreases under any in-context rewrite of either system:
-        # swap rules drop one inversion, the shortening rule drops length,
-        # and the squaring rule drops the count of the highest-rank letter
-        return (len(word), word.count("a"), inversion_count(word, self.rank))
 
     def __repr__(self) -> str:
         return f"RelationSystem({self.name!r})"
@@ -101,15 +93,15 @@ def reducible_positions(word: str, system: RelationSystem) -> list[int]:
 
 
 def _apply_at(word: str, i: int, system: RelationSystem) -> NCPolynomial:
-    rule = system.rules.get(word[i : i + 2])
-    if rule is None:
+    replacement = system.rules.get(word[i : i + 2])
+    if replacement is None:
         raise ValueError(
             f"no rule for pattern {word[i:i + 2]!r} in system {system.name}"
         )
     prefix, suffix = word[:i], word[i + 2 :]
     # replacement words differ pairwise, so the rebuilt words do too
     return NCPolynomial._from_reduced(
-        {prefix + w + suffix: c for w, c in rule.replacement.items()}
+        {prefix + w + suffix: c for w, c in replacement.items()}
     )
 
 
@@ -121,11 +113,6 @@ def rewrite_step(word: str, system: RelationSystem) -> Optional[NCPolynomial]:
     return _apply_at(word, positions[0], system)
 
 
-def _heap_key(word: str, system: RelationSystem) -> tuple[int, int, int, str]:
-    m = system.measure(word)
-    return (-m[0], -m[1], -m[2], word)
-
-
 def _reduce_word(
     word: str, system: RelationSystem, choose: Optional[ChoosePosition]
 ) -> NCPolynomial:
@@ -133,9 +120,10 @@ def _reduce_word(
         cached = system._memo.get(word)
         if cached is not None:
             return cached
+    key = system.order_key
     normal: dict[str, RationalFunction] = {}
     pending: dict[str, RationalFunction] = {word: RF_ONE}
-    heap = [(_heap_key(word, system), word)]
+    heap = [(key(word), word)]
     while heap:
         _, w = heapq.heappop(heap)
         coeff = pending.pop(w, None)
@@ -143,28 +131,15 @@ def _reduce_word(
             continue  # stale heap entry for a cancelled word
         positions = reducible_positions(w, system)
         if not positions:
-            merged = normal.get(w)
-            total = coeff if merged is None else merged + coeff
-            if total.is_zero():
-                normal.pop(w, None)
-            else:
-                normal[w] = total
+            _accumulate(normal, w, coeff)
             continue
         i = positions[0] if choose is None else choose(w, positions)
         if i not in positions:
             raise ValueError("choose() returned a non-reducible position")
         for produced, factor in _apply_at(w, i, system).items():
-            piece = coeff * factor
-            merged = pending.get(produced)
-            if merged is None:
-                pending[produced] = piece
-                heapq.heappush(heap, (_heap_key(produced, system), produced))
-            else:
-                total = merged + piece
-                if total.is_zero():
-                    del pending[produced]
-                else:
-                    pending[produced] = total
+            if produced not in pending:
+                heapq.heappush(heap, (key(produced), produced))
+            _accumulate(pending, produced, coeff * factor)
     result = NCPolynomial._from_reduced(normal)
     if choose is None:
         system._memo[word] = result
@@ -182,13 +157,7 @@ def normalize(
     total: dict[str, RationalFunction] = {}
     for word, coeff in p.items():
         for w, c in _reduce_word(word, system, choose).items():
-            piece = coeff * c
-            merged = total.get(w)
-            summed = piece if merged is None else merged + piece
-            if summed.is_zero():
-                total.pop(w, None)
-            else:
-                total[w] = summed
+            _accumulate(total, w, coeff * c)
     return NCPolynomial._from_reduced(total)
 
 

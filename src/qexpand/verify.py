@@ -179,16 +179,11 @@ def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionRepor
     return reports
 
 
-def _theta_a_ext(alpha: int, beta: int, gamma: int) -> RationalFunction:
+def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
+    """The family theta at the indices, or zero when any index is negative."""
     if min(alpha, beta, gamma) < 0:
         return RF_ZERO
-    return theta_a(alpha, beta, gamma)
-
-
-def _theta_b_ext(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    if min(alpha, beta, gamma) < 0:
-        return RF_ZERO
-    return theta_b(alpha, beta, gamma)
+    return theta(alpha, beta, gamma)
 
 
 def _q_power(k: int) -> RationalFunction:
@@ -218,12 +213,12 @@ def verify_recurrences(system: RelationSystem, bound: int) -> VerificationSummar
                     if alpha + 2 * beta + gamma == 0:
                         continue
                     rhs = (
-                        _theta_a_ext(alpha, beta, gamma - 1)
+                        _theta_ext(theta_a, alpha, beta, gamma - 1)
                         + _q_power(gamma + 2 * beta)
-                        * _theta_a_ext(alpha - 1, beta, gamma)
+                        * _theta_ext(theta_a, alpha - 1, beta, gamma)
                         + _q_power(gamma)
                         * RationalFunction(q_int(gamma + 1))
-                        * _theta_a_ext(alpha, beta - 1, gamma + 1)
+                        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
                     )
                     cases += 1
                     failures += theta_a(alpha, beta, gamma) != rhs
@@ -237,14 +232,15 @@ def verify_recurrences(system: RelationSystem, bound: int) -> VerificationSummar
                     if alpha + beta + gamma == 0:
                         continue
                     rhs = (
-                        _theta_b_ext(alpha, beta, gamma - 1)
-                        + _q_power(2 * gamma) * _theta_b_ext(alpha, beta - 1, gamma)
+                        _theta_ext(theta_b, alpha, beta, gamma - 1)
+                        + _q_power(2 * gamma)
+                        * _theta_ext(theta_b, alpha, beta - 1, gamma)
                         + _q_power(2 * gamma + 2 * beta)
-                        * _theta_b_ext(alpha - 1, beta, gamma)
+                        * _theta_ext(theta_b, alpha - 1, beta, gamma)
                         + xi()
                         * _q_power(2 * gamma)
                         * RationalFunction(q_int(gamma + 1, 2))
-                        * _theta_b_ext(alpha, beta - 2, gamma + 1)
+                        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
                     )
                     cases += 1
                     failures += theta_b(alpha, beta, gamma) != rhs

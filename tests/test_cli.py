@@ -206,6 +206,12 @@ class TestUsageErrors:
             cli.main(["qint", "--n", "2", "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_max_beta_below_two_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "phi", "--max-beta", "1"])
+        assert exc.value.code == 2
+        assert "--max-beta: must be >= 2" in capsys.readouterr().err
+
     def test_zero_exponent_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "--system", "A", "--n", "0"])

@@ -13,7 +13,6 @@ from qexpand.ordering import (
     SYSTEM_B_XI0,
     SYSTEMS,
     RelationSystem,
-    inversion_count,
     is_normal,
     normalize,
     reducible_positions,
@@ -46,10 +45,36 @@ class TestRelationSystem:
         with pytest.raises(ValueError, match="already normal"):
             RelationSystem("bad", "bca", {"ba": NCPolynomial({"c": RF_ONE})})
 
-    def test_inversion_count(self):
-        assert inversion_count("ab", SYSTEM_A.rank) == 1
-        assert inversion_count("bca", SYSTEM_A.rank) == 0
-        assert inversion_count("acb", SYSTEM_A.rank) == 3
+    def test_nonterminating_system_rejected(self):
+        # ca -> cc grows in deglex under a < b < c, and cab -> ccb -> cab
+        # would loop; the check must refuse the system before any rewriting
+        ab = NCPolynomial({"ab": RF_ONE})
+        with pytest.raises(ValueError, match="does not shrink"):
+            RelationSystem(
+                "loop", "abc", {"ba": ab, "ca": NCPolynomial({"cc": RF_ONE}), "cb": ab}
+            )
+
+    def test_normal_order_must_permute_generators(self):
+        rule = {"ab": NCPolynomial({"ba": RF_ONE})}
+        for order in ("bc", "bcaa", "bcd", "bba"):
+            with pytest.raises(ValueError, match="not a permutation"):
+                RelationSystem("bad", order, rule)
+
+    def test_rule_pattern_must_be_a_word(self):
+        with pytest.raises(ValueError, match="invalid generator 'd'"):
+            RelationSystem("bad", "bca", {"ad": NCPolynomial({"ca": RF_ONE})})
+
+    def test_builtin_rules_shrink_in_deglex(self):
+        for system in SYSTEMS.values():
+            for pattern, replacement in system.rules.items():
+                for word in replacement.words():
+                    assert system.order_key(word) > system.order_key(pattern)
+
+    def test_order_key_is_deglex(self):
+        # under b < c < a: longer words first, then the larger letter first
+        words = ["b", "c", "a", "bb", "ab", "acb", "bca", "aab", "aba"]
+        ranked = sorted(words, key=SYSTEM_A.order_key)
+        assert ranked == ["aab", "acb", "aba", "bca", "ab", "bb", "a", "c", "b"]
 
 
 class TestIsNormal:
@@ -228,6 +253,19 @@ class TestNormalizeProperties:
                 left = normalize(word_poly(word), system)
                 randomized = normalize(word_poly(word), system, choose=choose)
                 assert left == randomized
+
+    def test_each_word_is_rewritten_once(self):
+        rng = random.Random(98)
+        for word in _random_words(100, 8, seed=15):
+            for system in SYSTEMS.values():
+                seen = []
+
+                def choose(w, positions):
+                    seen.append(w)
+                    return positions[rng.randrange(len(positions))]
+
+                normalize(word_poly(word), system, choose=choose)
+                assert len(seen) == len(set(seen))
 
     def test_choose_must_return_reducible_position(self):
         with pytest.raises(ValueError, match="non-reducible"):
