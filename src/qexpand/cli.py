@@ -15,8 +15,9 @@ import sys
 
 from .freealgebra import NCPolynomial, format_word, parse_word
 from .ordering import SYSTEM_A, SYSTEM_B, SYSTEMS, normalize
-from .qnumbers import phi_closed, phi_recursive, q_factorial, q_int, theta_a, theta_b
+from .qnumbers import phi_closed, phi_recursive, q_factorial, q_int
 from .verify import (
+    SPECS,
     Pole,
     eval_at_root,
     expand_formula,
@@ -27,6 +28,8 @@ from .verify import (
     verify_recurrences,
 )
 
+# systems with a closed-form family, by name
+CLOSED_FORM = {s.name: s for s, spec in SPECS.items() if spec.family is not None}
 SUITES = ("lemma1", "lemma2", "phi", "recurrences", "degenerations", "identity", "all")
 
 
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("coeff", help="print one expansion coefficient")
-    p.add_argument("--system", choices=("A", "B"), required=True)
+    p.add_argument("--system", choices=tuple(CLOSED_FORM), required=True)
     p.add_argument("--alpha", type=_at_least(0), required=True)
     p.add_argument("--beta", type=_at_least(0), required=True)
     p.add_argument("--gamma", type=_at_least(0), required=True)
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("expand", help="print the expansion of the n-th power")
-    p.add_argument("--system", choices=("A", "B"), required=True)
+    p.add_argument("--system", choices=tuple(CLOSED_FORM), required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
     _add_format(p)
 
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("eval", help="evaluate expansion coefficients at a root of unity")
-    p.add_argument("--system", choices=("A", "B"), required=True)
+    p.add_argument("--system", choices=tuple(CLOSED_FORM), required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--at-root", type=_at_least(3, "N "), required=True, metavar="N",
                    help="root order N >= 3; the point is sign * exp(2*pi*i/N)")
@@ -135,7 +138,7 @@ def _fmt_complex(value: complex) -> str:
 
 
 def _run_eval(args) -> int:
-    expansion = expand_formula(SYSTEMS[args.system], args.n)
+    expansion = expand_formula(CLOSED_FORM[args.system], args.n)
     rows = eval_at_root(expansion, args.at_root, args.sign)
     if args.format == "json":
         payload = []
@@ -222,13 +225,13 @@ def run(args: argparse.Namespace) -> int:
     elif args.verb == "qfact":
         _print_poly(q_factorial(args.n, args.base), args.format)
     elif args.verb == "coeff":
-        theta = theta_a if args.system == "A" else theta_b
+        theta = SPECS[CLOSED_FORM[args.system]].family
         _print_poly(theta(args.alpha, args.beta, args.gamma), args.format)
     elif args.verb == "phi":
         route = phi_closed if args.route == "closed" else phi_recursive
         _print_poly(route(args.beta), args.format)
     elif args.verb == "expand":
-        _print_poly(expand_formula(SYSTEMS[args.system], args.n), args.format)
+        _print_poly(expand_formula(CLOSED_FORM[args.system], args.n), args.format)
     elif args.verb == "normalize":
         result = normalize(NCPolynomial.from_word(args.word), SYSTEMS[args.system])
         _print_poly(result, args.format)

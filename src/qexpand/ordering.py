@@ -18,10 +18,6 @@ it.
 The default strategy reduces the leftmost out-of-order adjacent pair.  A
 ``choose`` callback can pick any reducible position instead, which the
 test-suite uses to probe confluence.
-
-Inputs are immutable and reduction is pure.  The per-system memo table
-only ever receives identical recomputed values for a given word, so
-normalizations may run concurrently.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ class RelationSystem:
             normal_order, "".join(sorted(normal_order, reverse=True))
         )
         self.rules = dict(rules)
-        self._memo: dict[str, NCPolynomial] = {}
         for pattern, replacement in self.rules.items():
             self._check_rule(pattern, replacement)
 
@@ -116,10 +111,6 @@ def rewrite_step(word: str, system: RelationSystem) -> Optional[NCPolynomial]:
 def _reduce_word(
     word: str, system: RelationSystem, choose: Optional[ChoosePosition]
 ) -> NCPolynomial:
-    if choose is None:
-        cached = system._memo.get(word)
-        if cached is not None:
-            return cached
     key = system.order_key
     normal: dict[str, RationalFunction] = {}
     pending: dict[str, RationalFunction] = {word: RF_ONE}
@@ -140,10 +131,7 @@ def _reduce_word(
             if produced not in pending:
                 heapq.heappush(heap, (key(produced), produced))
             _accumulate(pending, produced, coeff * factor)
-    result = NCPolynomial._from_reduced(normal)
-    if choose is None:
-        system._memo[word] = result
-    return result
+    return NCPolynomial._from_reduced(normal)
 
 
 def normalize(
@@ -184,24 +172,12 @@ SYSTEM_B = RelationSystem(
     },
 )
 
+# the degenerate limits: c = 0 in System A, xi = 0 in System B
 SYSTEM_A_C0 = RelationSystem(
-    "A-c0",
-    "bca",
-    {
-        "ab": NCPolynomial({"ba": _Q1}),
-        "ac": NCPolynomial({"ca": _Q2}),
-        "cb": NCPolynomial({"bc": _Q2}),
-    },
+    "A-c0", "bca", {**SYSTEM_A.rules, "ab": NCPolynomial({"ba": _Q1})}
 )
-
 SYSTEM_B_XI0 = RelationSystem(
-    "B-xi0",
-    "cba",
-    {
-        "ac": NCPolynomial({"ca": _Q2}),
-        "ab": NCPolynomial({"ba": _Q2}),
-        "bc": NCPolynomial({"cb": _Q2}),
-    },
+    "B-xi0", "cba", {**SYSTEM_B.rules, "ac": NCPolynomial({"ca": _Q2})}
 )
 
 SYSTEMS = {s.name: s for s in (SYSTEM_A, SYSTEM_B, SYSTEM_A_C0, SYSTEM_B_XI0)}

@@ -17,7 +17,7 @@ import cmath
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Iterator, Optional, Union
 
 from .exactarith import (
     IntPolynomial,
@@ -104,39 +104,105 @@ class Pole:
     den_value: complex
 
 
-_SUM_LETTERS = {"A": "ab", "A-c0": "ab", "B": "abc", "B-xi0": "abc"}
+def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
+    """The family theta at the indices, or zero when any index is negative."""
+    if min(alpha, beta, gamma) < 0:
+        return RF_ZERO
+    return theta(alpha, beta, gamma)
+
+
+def _q_power(k: int) -> RationalFunction:
+    return RationalFunction(IntPolynomial.monomial(k))
+
+
+def _recurrence_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
+    return (
+        _theta_ext(theta_a, alpha, beta, gamma - 1)
+        + _q_power(gamma + 2 * beta) * _theta_ext(theta_a, alpha - 1, beta, gamma)
+        + _q_power(gamma)
+        * RationalFunction(q_int(gamma + 1))
+        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
+    )
+
+
+def _recurrence_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
+    return (
+        _theta_ext(theta_b, alpha, beta, gamma - 1)
+        + _q_power(2 * gamma) * _theta_ext(theta_b, alpha, beta - 1, gamma)
+        + _q_power(2 * gamma + 2 * beta) * _theta_ext(theta_b, alpha - 1, beta, gamma)
+        + xi()
+        * _q_power(2 * gamma)
+        * RationalFunction(q_int(gamma + 1, 2))
+        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
+    )
+
+
+@dataclass(frozen=True)
+class SystemSpec:
+    """The expansion data of a built-in system: the degree of the middle
+    letter of its normal order, its closed-form coefficient family, and the
+    family's recurrence from lower indices (the degenerate systems have no
+    family and no recurrence)."""
+
+    weight: int
+    family: Optional[Callable[..., RationalFunction]] = None
+    recurrence: Optional[Callable[..., RationalFunction]] = None
+
+
+SPECS = {
+    SYSTEM_A: SystemSpec(2, theta_a, _recurrence_a),
+    SYSTEM_B: SystemSpec(1, theta_b, _recurrence_b),
+    SYSTEM_A_C0: SystemSpec(2),
+    SYSTEM_B_XI0: SystemSpec(1),
+}
+
+
+def _spec(system: RelationSystem, *, closed_form: bool = False) -> SystemSpec:
+    """The system's record; with closed_form, it must also have a family."""
+    spec = SPECS.get(system)
+    if spec is None:
+        raise ValueError(f"no expansion record for system {system.name!r}")
+    if closed_form and spec.family is None:
+        raise ValueError(f"no closed-form family for system {system.name!r}")
+    return spec
+
+
+def _indices(weight: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """Every (alpha, beta, gamma) >= 0 with alpha + weight*beta + gamma = n."""
+    for beta in range(n // weight + 1):
+        for alpha in range(n - weight * beta + 1):
+            yield alpha, beta, n - weight * beta - alpha
 
 
 def base_sum(system: RelationSystem) -> NCPolynomial:
-    """The sum of generators whose powers the system's expansion describes."""
-    letters = _SUM_LETTERS.get(system.name)
-    if letters is None:
-        raise ValueError(f"no expansion base for system {system.name!r}")
-    return NCPolynomial({ch: RF_ONE for ch in letters})
+    """The sum of generators whose powers the system's expansion describes:
+    the letters of degree one in the normal order."""
+    first, middle, last = system.normal_order
+    middle = middle if _spec(system).weight == 1 else ""
+    return NCPolynomial({ch: RF_ONE for ch in first + middle + last})
 
 
 def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
     """The degree-n expansion assembled directly from the coefficient family."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms: dict[str, RationalFunction] = {}
-    if system.name == "A":
-        for beta in range(n // 2 + 1):
-            for alpha in range(n - 2 * beta + 1):
-                gamma = n - 2 * beta - alpha
-                terms["b" * alpha + "c" * beta + "a" * gamma] = theta_a(
-                    alpha, beta, gamma
-                )
-    elif system.name == "B":
-        for alpha in range(n + 1):
-            for beta in range(n - alpha + 1):
-                gamma = n - alpha - beta
-                terms["c" * alpha + "b" * beta + "a" * gamma] = theta_b(
-                    alpha, beta, gamma
-                )
-    else:
-        raise ValueError("closed-form expansion exists only for systems A and B")
-    return NCPolynomial(terms)
+    spec = _spec(system, closed_form=True)
+    first, middle, last = system.normal_order
+    return NCPolynomial(
+        (first * alpha + middle * beta + last * gamma, spec.family(alpha, beta, gamma))
+        for alpha, beta, gamma in _indices(spec.weight, n)
+    )
+
+
+def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[NCPolynomial]:
+    """The oracle expansions for n = 1, ..., max_n in one pass: each step
+    multiplies the previous one by the sum of generators and normal-orders
+    the product, so no word is reduced twice."""
+    expansion = s = base_sum(system)
+    yield expansion
+    for _ in range(max_n - 1):
+        expansion = normalize(expansion * s, system)
+        yield expansion
 
 
 def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
@@ -144,11 +210,9 @@ def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
     generators left to right, normal-ordering after every multiplication."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = base_sum(system)
-    acc = s
-    for _ in range(n - 1):
-        acc = normalize(acc * s, system)
-    return acc
+    for expansion in _oracle_pass(system, n):
+        pass
+    return expansion
 
 
 def _compare(formula: NCPolynomial, oracle: NCPolynomial) -> tuple[Mismatch, ...]:
@@ -161,14 +225,19 @@ def _compare(formula: NCPolynomial, oracle: NCPolynomial) -> tuple[Mismatch, ...
 
 
 def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionReport]:
-    """Compare formula and oracle expansions for every n up to max_n."""
+    """Compare formula and oracle expansions for every n up to max_n.
+
+    The oracle runs one pass, each step building on the last, so a report's
+    duration_ms times step n only: the formula, one oracle step and the
+    comparison."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     reports = []
+    oracle_steps = _oracle_pass(system, max_n)
     for n in range(1, max_n + 1):
         start = time.perf_counter()
         formula = expand_formula(system, n)
-        oracle = expand_oracle(system, n)
+        oracle = next(oracle_steps)
         mismatches = _compare(formula, oracle)
         duration = int((time.perf_counter() - start) * 1000)
         reports.append(
@@ -179,73 +248,26 @@ def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionRepor
     return reports
 
 
-def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """The family theta at the indices, or zero when any index is negative."""
-    if min(alpha, beta, gamma) < 0:
-        return RF_ZERO
-    return theta(alpha, beta, gamma)
-
-
-def _q_power(k: int) -> RationalFunction:
-    return RationalFunction(IntPolynomial.monomial(k))
-
-
 def verify_recurrences(system: RelationSystem, bound: int) -> VerificationSummary:
     """Check the coefficient recurrence at every index tuple within the bound.
 
     Indices with a negative entry count as zero.  Tuples are those with
-    total degree between 1 and the bound (degree alpha + 2*beta + gamma for
-    system A, alpha + beta + gamma for system B); the degree-0 tuple is the
-    recurrence's seed, not an instance of it.  Boundary values are checked
-    as additional cases.
+    degree alpha + weight*beta + gamma from 1 to the bound; the degree-0
+    tuple is the recurrence's seed.  The boundary values, 1 at every
+    degree-1 tuple, are checked as additional cases.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    spec = _spec(system, closed_form=True)
     start = time.perf_counter()
     cases = failures = 0
-    if system.name == "A":
-        for boundary in ((1, 0, 0), (0, 0, 1)):
+    for indices in _indices(spec.weight, 1):
+        cases += 1
+        failures += spec.family(*indices) != RF_ONE
+    for degree in range(1, bound + 1):
+        for indices in _indices(spec.weight, degree):
             cases += 1
-            failures += theta_a(*boundary) != RF_ONE
-        for beta in range(bound // 2 + 1):
-            for alpha in range(bound - 2 * beta + 1):
-                for gamma in range(bound - 2 * beta - alpha + 1):
-                    if alpha + 2 * beta + gamma == 0:
-                        continue
-                    rhs = (
-                        _theta_ext(theta_a, alpha, beta, gamma - 1)
-                        + _q_power(gamma + 2 * beta)
-                        * _theta_ext(theta_a, alpha - 1, beta, gamma)
-                        + _q_power(gamma)
-                        * RationalFunction(q_int(gamma + 1))
-                        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
-                    )
-                    cases += 1
-                    failures += theta_a(alpha, beta, gamma) != rhs
-    elif system.name == "B":
-        for boundary in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            cases += 1
-            failures += theta_b(*boundary) != RF_ONE
-        for alpha in range(bound + 1):
-            for beta in range(bound - alpha + 1):
-                for gamma in range(bound - alpha - beta + 1):
-                    if alpha + beta + gamma == 0:
-                        continue
-                    rhs = (
-                        _theta_ext(theta_b, alpha, beta, gamma - 1)
-                        + _q_power(2 * gamma)
-                        * _theta_ext(theta_b, alpha, beta - 1, gamma)
-                        + _q_power(2 * gamma + 2 * beta)
-                        * _theta_ext(theta_b, alpha - 1, beta, gamma)
-                        + xi()
-                        * _q_power(2 * gamma)
-                        * RationalFunction(q_int(gamma + 1, 2))
-                        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
-                    )
-                    cases += 1
-                    failures += theta_b(alpha, beta, gamma) != rhs
-    else:
-        raise ValueError("recurrences exist only for systems A and B")
+            failures += spec.family(*indices) != spec.recurrence(*indices)
     duration = int((time.perf_counter() - start) * 1000)
     return VerificationSummary(f"recurrences-{system.name}", cases, failures, duration)
 
@@ -298,8 +320,7 @@ def verify_degenerations(
         raise ValueError("bounds must be >= 1")
     start = time.perf_counter()
     cases = failures = 0
-    for n in range(1, binomial_bound + 1):
-        expansion = expand_oracle(SYSTEM_A_C0, n)
+    for n, expansion in enumerate(_oracle_pass(SYSTEM_A_C0, binomial_bound), 1):
         expected = {
             "b" * k + "a" * (n - k): gaussian_binomial(n, k) for k in range(n + 1)
         }
@@ -307,15 +328,11 @@ def verify_degenerations(
             cases += 1
             reference = RationalFunction(expected.get(word, ZERO))
             failures += expansion.coefficient(word) != reference
-    for n in range(1, multinomial_bound + 1):
-        expansion = expand_oracle(SYSTEM_B_XI0, n)
-        expected = {}
-        for alpha in range(n + 1):
-            for beta in range(n - alpha + 1):
-                gamma = n - alpha - beta
-                expected["c" * alpha + "b" * beta + "a" * gamma] = q2_multinomial(
-                    alpha, beta, gamma
-                )
+    for n, expansion in enumerate(_oracle_pass(SYSTEM_B_XI0, multinomial_bound), 1):
+        expected = {
+            "c" * alpha + "b" * beta + "a" * gamma: q2_multinomial(alpha, beta, gamma)
+            for alpha, beta, gamma in _indices(1, n)
+        }
         for word in sorted(set(expansion.words()) | set(expected), key=word_sort_key):
             cases += 1
             reference = RationalFunction(expected.get(word, ZERO))

@@ -139,6 +139,15 @@ class TestVerifyVerb:
             "identity",
         ]
         assert all(line.endswith("match") for line in lines)
+        assert lines == [
+            "lemma1: 8/8 match",
+            "lemma2: 6/6 match",
+            "phi: 41/41 match",
+            "recurrences-A: 162/162 match",
+            "recurrences-B: 167/167 match",
+            "degenerations: 254/254 match",
+            "identity: 20/20 match",
+        ]
 
     def test_failures_flip_exit_status(self, capsys, monkeypatch):
         broken = VerificationSummary("phi", 3, 1, 0)
@@ -211,6 +220,14 @@ class TestUsageErrors:
             cli.main(["verify", "--suite", "phi", "--max-beta", "1"])
         assert exc.value.code == 2
         assert "--max-beta: must be >= 2" in capsys.readouterr().err
+
+    def test_system_without_closed_form_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["coeff", "--system", "A-c0", "--alpha", "1", "--beta", "0", "--gamma", "1"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'A-c0' (choose from 'A', 'B')" in capsys.readouterr().err
 
     def test_zero_exponent_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Tests for the normal-ordering rewrite engine."""
 
+import copy
 import random
 
 import pytest
@@ -271,11 +272,13 @@ class TestNormalizeProperties:
         with pytest.raises(ValueError, match="non-reducible"):
             normalize(word_poly("ab"), SYSTEM_A, choose=lambda w, ps: 7)
 
-    def test_memo_is_observationally_pure(self):
-        word = "acab"
-        first = normalize(word_poly(word), SYSTEM_A)
-        again = normalize(word_poly(word), SYSTEM_A)
+    def test_normalize_stores_nothing(self):
+        system = RelationSystem("fresh", "bca", dict(SYSTEM_A.rules))
+        before = {name: copy.copy(value) for name, value in vars(system).items()}
+        first = normalize(word_poly("acab"), system)
+        again = normalize(word_poly("acab"), system)
         assert first == again
+        assert vars(system) == before
 
     def test_degenerate_systems_drop_extra_terms(self):
         assert normalize(word_poly("ab"), SYSTEM_A_C0) == NCPolynomial({"ba": qpow(1)})

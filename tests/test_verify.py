@@ -6,10 +6,19 @@ import pytest
 
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction
 from qexpand.freealgebra import NCPolynomial
-from qexpand.ordering import SYSTEM_A, SYSTEM_A_C0, SYSTEM_B, is_normal
+from qexpand.ordering import (
+    SYSTEM_A,
+    SYSTEM_A_C0,
+    SYSTEM_B,
+    SYSTEM_B_XI0,
+    RelationSystem,
+    is_normal,
+)
 from qexpand.qnumbers import phi_closed, q_int, theta_a
 from qexpand.verify import (
     Pole,
+    _indices,
+    base_sum,
     eval_at_root,
     expand_formula,
     expand_oracle,
@@ -64,8 +73,37 @@ class TestExpandFormula:
     def test_rejects_degenerate_systems_and_bad_n(self):
         with pytest.raises(ValueError):
             expand_formula(SYSTEM_A_C0, 2)
+        for system in (SYSTEM_A_C0, SYSTEM_B_XI0):
+            with pytest.raises(ValueError, match="no closed-form family"):
+                verify_recurrences(system, 3)
         with pytest.raises(ValueError):
             expand_formula(SYSTEM_A, 0)
+
+
+class TestSystemRecord:
+    def test_record_is_keyed_by_system_not_name(self):
+        # named "A" but with the c = 0 rules: it must not get System A's family
+        impostor = RelationSystem("A", "bca", dict(SYSTEM_A_C0.rules))
+        with pytest.raises(ValueError):
+            expand_formula(impostor, 3)
+        with pytest.raises(ValueError):
+            verify_recurrences(impostor, 3)
+        with pytest.raises(ValueError):
+            base_sum(impostor)
+
+    def test_indices_solve_the_degree_equation(self):
+        for weight in (1, 2):
+            for n in range(9):
+                expected = {
+                    (alpha, beta, gamma)
+                    for alpha in range(n + 1)
+                    for beta in range(n + 1)
+                    for gamma in range(n + 1)
+                    if alpha + weight * beta + gamma == n
+                }
+                found = list(_indices(weight, n))
+                assert len(found) == len(expected)
+                assert set(found) == expected
 
 
 class TestExpandOracle:
@@ -103,6 +141,12 @@ class TestVerifyExpansions:
 
     def test_system_b_small(self):
         assert all(r.match for r in verify_expansions(SYSTEM_B, 3))
+
+    def test_one_pass_matches_separate_oracle_calls(self):
+        for system in (SYSTEM_A, SYSTEM_B):
+            reports = verify_expansions(system, 6)
+            for n in range(1, 7):
+                assert reports[n - 1].oracle_terms == expand_oracle(system, n)
 
     def test_report_json_schema(self):
         report = verify_expansions(SYSTEM_A, 1)[0]
