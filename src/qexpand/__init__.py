@@ -27,7 +27,6 @@ from .ordering import (
     rewrite_step,
 )
 from .qnumbers import (
-    even_product,
     phi_closed,
     phi_recursive,
     psi,
@@ -78,7 +77,6 @@ __all__ = [
     "normalize",
     "q_int",
     "q_factorial",
-    "even_product",
     "xi",
     "theta_a",
     "theta_b",

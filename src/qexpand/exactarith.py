@@ -32,7 +32,7 @@ xi = (q+q^2)/(1-q) and phi_2i = psi(i)/(1-q)^i.  When the denominator is
 synthetic division, at most k times; the result is already canonical, so
 no gcd, exact division or content step runs.  Sums over two powers of
 (q-1) use (q-1)^max as their common denominator.  Every other denominator
-goes through ``poly_gcd``.
+goes through ``poly_gcd``, which the built-in routes no longer reach.
 
 All values are immutable and every operation is a pure function, so values
 may be shared freely across threads and tasks.

@@ -3,7 +3,8 @@
 Everything here is a pure function of small integer indices returning
 canonical values from :mod:`qexpand.exactarith`.  Results are memoized
 because the same indices recur constantly during verification; the caches
-are an observationally pure detail.
+are an observationally pure detail.  The closed forms are built from
+polynomial sums and products only, so no gcd or exact division runs.
 """
 
 from __future__ import annotations
@@ -44,13 +45,21 @@ def q_factorial(n: int, power: int = 1) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def even_product(beta: int) -> IntPolynomial:
-    """The product [2][4]...[2*beta] of even q-integers; 1 for beta = 0."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+def _q_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
+    """[n, k] for 0 <= k <= n in base q**power, by the Pascal rule
+    [n, k] = q^(power*(n-k)) [n-1, k-1] + [n-1, k]: shifts and adds only."""
+    if k == 0 or k == n:
+        return ONE
+    shifted = IntPolynomial.monomial(power * (n - k)) * _q_binomial(n - 1, k - 1, power)
+    return shifted + _q_binomial(n - 1, k, power)
+
+
+@lru_cache(maxsize=None)
+def _odd_product(beta: int) -> IntPolynomial:
+    """The product [1][3]...[2*beta-1] of odd q-integers; 1 for beta = 0."""
     if beta == 0:
         return ONE
-    return even_product(beta - 1) * q_int(2 * beta)
+    return _odd_product(beta - 1) * q_int(2 * beta - 1)
 
 
 @lru_cache(maxsize=None)
@@ -64,14 +73,14 @@ def theta_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
     """Coefficient of b^alpha c^beta a^gamma in the system-A expansion.
 
     Equal to [n]! / ([alpha]! [gamma]! [2][4]...[2*beta]) with
-    n = alpha + 2*beta + gamma.
+    n = alpha + 2*beta + gamma, built as the polynomial product
+    [n, alpha] [n-alpha, 2*beta] [1][3]...[2*beta-1].
     """
     if min(alpha, beta, gamma) < 0:
         raise ValueError("indices must be >= 0")
     n = alpha + 2 * beta + gamma
-    return RationalFunction(
-        q_factorial(n), q_factorial(alpha) * q_factorial(gamma) * even_product(beta)
-    )
+    multinomial = _q_binomial(n, alpha) * _q_binomial(n - alpha, 2 * beta)
+    return RationalFunction(multinomial * _odd_product(beta))
 
 
 @lru_cache(maxsize=None)
@@ -79,16 +88,14 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     """Coefficient of c^alpha b^beta a^gamma in the system-B expansion.
 
     Equal to [n]'! phi_beta / ([alpha]'! [beta]'! [gamma]'!) where [.]' is
-    the base-q^2 analog and n = alpha + beta + gamma.
+    the base-q^2 analog and n = alpha + beta + gamma, built as
+    [n, alpha]' [n-alpha, beta]' phi_beta.
     """
     if min(alpha, beta, gamma) < 0:
         raise ValueError("indices must be >= 0")
     n = alpha + beta + gamma
-    quotient = RationalFunction(
-        q_factorial(n, 2),
-        q_factorial(alpha, 2) * q_factorial(beta, 2) * q_factorial(gamma, 2),
-    )
-    return quotient * phi_closed(beta)
+    multinomial = _q_binomial(n, alpha, 2) * _q_binomial(n - alpha, beta, 2)
+    return RationalFunction(multinomial) * phi_closed(beta)
 
 
 @lru_cache(maxsize=None)
@@ -112,18 +119,14 @@ def phi_recursive(beta: int) -> RationalFunction:
 def psi(i: int) -> RationalFunction:
     """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]).
 
-    Each quotient [4k]/[2k] reduces to the polynomial 1 + q^(2k), so the
-    canonical result is a polynomial.  Built as psi(i-1) [2i-1] [4i]/[2i],
-    so a run over i = 1..n makes O(n) products, not O(n^2).
+    Each quotient [4k]/[2k] is 1 + q^(2k), so psi(i) is the polynomial
+    product psi(i-1) [2i-1] (1 + q^(2i)): O(n) products over i = 1..n.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    prev = psi(i - 1) if i > 1 else RF_ONE
-    return (
-        prev
-        * RationalFunction(q_int(2 * i - 1))
-        * RationalFunction(q_int(4 * i), q_int(2 * i))
-    )
+    prev = psi(i - 1).num if i > 1 else ONE
+    factor = ONE + IntPolynomial.monomial(2 * i)
+    return RationalFunction(prev * q_int(2 * i - 1) * factor)
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +138,5 @@ def phi_closed(beta: int) -> RationalFunction:
     if beta <= 1:
         return RF_ONE
     if beta % 2 == 0:
-        i = beta // 2
-        return psi(i) / RationalFunction(_ONE_MINUS_Q**i)
+        return psi(beta // 2) / RationalFunction(_ONE_MINUS_Q ** (beta // 2))
     return RationalFunction(q_int(beta)) * phi_closed(beta - 1)

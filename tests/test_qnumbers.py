@@ -1,12 +1,16 @@
 """Tests for the q-analog scalar families."""
 
+import math
 import random
 
 import pytest
 
+from qexpand import exactarith, qnumbers
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZERO
+from qexpand.ordering import SYSTEM_A, SYSTEM_B
 from qexpand.qnumbers import (
-    even_product,
+    _odd_product,
+    _q_binomial,
     phi_closed,
     phi_recursive,
     psi,
@@ -16,7 +20,7 @@ from qexpand.qnumbers import (
     theta_b,
     xi,
 )
-from qexpand.verify import gaussian_binomial, q2_multinomial
+from qexpand.verify import expand_formula, gaussian_binomial, q2_multinomial
 
 P = IntPolynomial
 
@@ -56,15 +60,37 @@ class TestQFactorial:
         assert q_factorial(2, 2) == P((1, 0, 1))
 
 
-class TestEvenProduct:
+class TestOddProduct:
     def test_empty(self):
-        assert even_product(0) == ONE
+        assert _odd_product(0) == ONE
 
     def test_single(self):
-        assert even_product(1) == P((1, 1))
+        assert _odd_product(1) == ONE
 
     def test_two_factors(self):
-        assert even_product(2) == P((1, 2, 2, 2, 1))
+        assert _odd_product(2) == P((1, 1, 1))
+
+    def test_three_factors(self):
+        assert _odd_product(3) == P((1, 2, 3, 3, 3, 2, 1))
+
+
+class TestQBinomial:
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_counts_subsets_at_one(self, power):
+        for n in range(21):
+            for k in range(n + 1):
+                assert _q_binomial(n, k, power)(1) == math.comb(n, k)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_symmetric(self, power):
+        for n in range(21):
+            for k in range(n + 1):
+                assert _q_binomial(n, k, power) == _q_binomial(n, n - k, power)
+
+    def test_small_values(self):
+        assert _q_binomial(2, 1) == P((1, 1))
+        assert _q_binomial(4, 2) == P((1, 1, 2, 1, 1))
+        assert _q_binomial(3, 1, 2) == P((1, 0, 1, 0, 1))
 
 
 class TestXi:
@@ -128,17 +154,14 @@ class TestThetaA:
                 assert theta_a(alpha, 0, gamma) == expected
 
     def test_polynomiality_observation(self):
-        # every value in range reduces to a polynomial; recorded, not promised
-        polynomial = total = 0
+        # a q-multinomial times an odd product: a polynomial by construction
+        total = 0
         for alpha in range(11):
             for beta in range(6):
-                for gamma in range(11):
-                    if alpha + 2 * beta + gamma > 10:
-                        continue
+                for gamma in range(11 - alpha - 2 * beta):
                     total += 1
-                    polynomial += theta_a(alpha, beta, gamma).den == ONE
-        print(f"theta_a polynomial in {polynomial}/{total} cases within bound 10")
-        assert total > 0
+                    assert theta_a(alpha, beta, gamma).den == ONE
+        assert total == 161
 
 
 class TestPhi:
@@ -247,3 +270,76 @@ class TestEvenOddIdentity:
         for i in (1, 5, 20):
             lhs = P((1, 1)) * q_int(2 * i + 1, 2)
             assert lhs.degree == q_int(4 * i + 2).degree == 4 * i + 1
+
+
+def _even_product(beta):
+    product = ONE
+    for k in range(1, beta + 1):
+        product = product * q_int(2 * k)
+    return product
+
+
+class TestQuotientDefinitions:
+    """The product-built families against their quotient definitions, which
+    are reduced here by the general gcd route."""
+
+    def test_theta_a(self):
+        for n in range(17):
+            for beta in range(n // 2 + 1):
+                for alpha in range(n - 2 * beta + 1):
+                    gamma = n - 2 * beta - alpha
+                    quotient = RationalFunction(
+                        q_factorial(n),
+                        q_factorial(alpha) * q_factorial(gamma) * _even_product(beta),
+                    )
+                    value = theta_a(alpha, beta, gamma)
+                    assert (value.num, value.den) == (quotient.num, quotient.den)
+
+    def test_theta_b(self):
+        for n in range(15):
+            for beta in range(n + 1):
+                for alpha in range(n - beta + 1):
+                    gamma = n - beta - alpha
+                    quotient = RationalFunction(
+                        q_factorial(n, 2),
+                        q_factorial(alpha, 2)
+                        * q_factorial(beta, 2)
+                        * q_factorial(gamma, 2),
+                    ) * phi_recursive(beta)
+                    value = theta_b(alpha, beta, gamma)
+                    assert (value.num, value.den) == (quotient.num, quotient.den)
+
+    def test_psi(self):
+        quotient = RF_ONE
+        for i in range(1, 31):
+            quotient = (
+                quotient
+                * RationalFunction(q_int(2 * i - 1))
+                * RationalFunction(q_int(4 * i), q_int(2 * i))
+            )
+            value = psi(i)
+            assert (value.num, value.den) == (quotient.num, quotient.den)
+
+
+@pytest.fixture
+def cold_qnumbers_caches():
+    """Empty every lru_cache table of qnumbers before and after the test, so
+    the test computes each value afresh and leaves none behind."""
+    tables = [f for f in vars(qnumbers).values() if hasattr(f, "cache_clear")]
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
+    def no_division(*args):
+        raise AssertionError("the formula route reached a polynomial division")
+
+    monkeypatch.setattr(exactarith, "poly_gcd", no_division)
+    monkeypatch.setattr(IntPolynomial, "exact_div", no_division)
+    expand_formula(SYSTEM_A, 14)
+    expand_formula(SYSTEM_B, 12)
+    for beta in range(31):
+        phi_closed(beta)
