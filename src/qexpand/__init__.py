@@ -24,7 +24,6 @@ from .ordering import (
     RelationSystem,
     is_normal,
     normalize,
-    rewrite_step,
 )
 from .qnumbers import (
     phi_closed,
@@ -73,7 +72,6 @@ __all__ = [
     "SYSTEM_B_XI0",
     "SYSTEMS",
     "is_normal",
-    "rewrite_step",
     "normalize",
     "q_int",
     "q_factorial",

@@ -4,13 +4,15 @@ One verb per invocation: qint, qfact, coeff, phi, expand, normalize,
 verify, eval.  Output goes to stdout as text (default) or JSON
 (``--format json``); diagnostics go to stderr.  Exit status is 0 on
 success, 1 when a verify suite reports failures or an internal error
-occurs, and 2 on usage errors.
+occurs, and 2 on usage errors.  When the reader closes stdout early, the
+rest of the output is dropped silently and the exit status is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .freealgebra import NCPolynomial, format_word, parse_word
@@ -244,9 +246,15 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(args)
+        try:
+            return run(parser.parse_args(argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as err:  # internal failures surface as exit 1
         print(f"error: {err}", file=sys.stderr)
         return 1

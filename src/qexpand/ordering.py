@@ -5,31 +5,29 @@ toward a target generator order.  A word is normal when its letter ranks
 are non-decreasing from left to right; :func:`normalize` rewrites every
 word of a polynomial into a combination of normal words.
 
-One order governs the engine: deglex under the letter ranks, comparing
-words by length first and then lexicographically.  Every rule is checked
-on construction to replace its pattern by deglex-smaller words.  Deglex
-is a monomial order (Bergman, "The diamond lemma for ring theory", 1978),
-so a rewrite at any position of any word also makes the word smaller, and
-since deglex is a well-order, rewriting terminates for every system that
-passes the check.  Word reduction pops the deglex-largest pending word
-first, so each word is processed once, after every word that can produce
-it.
-
-The default strategy reduces the leftmost out-of-order adjacent pair.  A
-``choose`` callback can pick any reducible position instead, which the
-test-suite uses to probe confluence.
+Each system is checked for termination and for confluence when it is
+built.  One order governs the engine: deglex under the letter ranks,
+comparing words by length first and then lexicographically.  Every rule
+must replace its pattern by deglex-smaller words.  Deglex is a monomial
+order, so a rewrite at any position of any word also makes the word
+smaller, and since deglex is a well-order, rewriting terminates.  The
+only ambiguities of two-letter rules are overlaps ``xyz`` of patterns
+``xy`` and ``yz``; the check normalises both one-step rewrites of each
+overlap and requires the results to agree.  By Bergman's diamond lemma
+("The diamond lemma for ring theory", 1978) every word of a system that
+passes both checks has a unique normal form, whatever pairs are rewritten
+in whatever order.  Word reduction rewrites the leftmost out-of-order
+pair and pops the deglex-largest pending word first, so each word is
+processed once, after every word that can produce it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
 
 from .exactarith import IntPolynomial, RF_ONE, RationalFunction
 from .freealgebra import GENERATORS, NCPolynomial, _accumulate, parse_word
 from .qnumbers import xi
-
-ChoosePosition = Callable[[str, list[int]], int]
 
 
 class RelationSystem:
@@ -50,6 +48,10 @@ class RelationSystem:
         self.rules = dict(rules)
         for pattern, replacement in self.rules.items():
             self._check_rule(pattern, replacement)
+        for xy in self.rules:
+            for yz in self.rules:
+                if xy[1] == yz[0]:
+                    self._check_overlap(xy + yz[1])
 
     def order_key(self, word: str) -> tuple[int, str]:
         """Sort key under which deglex-larger words come first."""
@@ -69,22 +71,28 @@ class RelationSystem:
                     f"{pattern!r} in the deglex order"
                 )
 
+    def _check_overlap(self, word: str) -> None:
+        via_left = normalize(_apply_at(word, 0, self), self)
+        if via_left != normalize(_apply_at(word, 1, self), self):
+            raise ValueError(
+                f"overlap {word!r} has two normal forms in system {self.name}"
+            )
+
     def __repr__(self) -> str:
         return f"RelationSystem({self.name!r})"
 
 
+def _leftmost_pair(word: str, rank: dict[str, int]) -> int:
+    """Index of the leftmost adjacent pair in decreasing rank order, or -1."""
+    for i in range(len(word) - 1):
+        if rank[word[i]] > rank[word[i + 1]]:
+            return i
+    return -1
+
+
 def is_normal(word: str, system: RelationSystem) -> bool:
     """True iff the word's letter ranks are non-decreasing left to right."""
-    rank = system.rank
-    return all(rank[word[i]] <= rank[word[i + 1]] for i in range(len(word) - 1))
-
-
-def reducible_positions(word: str, system: RelationSystem) -> list[int]:
-    """Indices i where letters i, i+1 appear in decreasing rank order."""
-    rank = system.rank
-    return [
-        i for i in range(len(word) - 1) if rank[word[i]] > rank[word[i + 1]]
-    ]
+    return _leftmost_pair(word, system.rank) < 0
 
 
 def _apply_at(word: str, i: int, system: RelationSystem) -> NCPolynomial:
@@ -100,18 +108,8 @@ def _apply_at(word: str, i: int, system: RelationSystem) -> NCPolynomial:
     )
 
 
-def rewrite_step(word: str, system: RelationSystem) -> Optional[NCPolynomial]:
-    """Rewrite the leftmost out-of-order pair; None when the word is normal."""
-    positions = reducible_positions(word, system)
-    if not positions:
-        return None
-    return _apply_at(word, positions[0], system)
-
-
-def _reduce_word(
-    word: str, system: RelationSystem, choose: Optional[ChoosePosition]
-) -> NCPolynomial:
-    key = system.order_key
+def _reduce_word(word: str, system: RelationSystem) -> NCPolynomial:
+    key, rank = system.order_key, system.rank
     normal: dict[str, RationalFunction] = {}
     pending: dict[str, RationalFunction] = {word: RF_ONE}
     heap = [(key(word), word)]
@@ -120,13 +118,10 @@ def _reduce_word(
         coeff = pending.pop(w, None)
         if coeff is None:
             continue  # stale heap entry for a cancelled word
-        positions = reducible_positions(w, system)
-        if not positions:
+        i = _leftmost_pair(w, rank)
+        if i < 0:
             _accumulate(normal, w, coeff)
             continue
-        i = positions[0] if choose is None else choose(w, positions)
-        if i not in positions:
-            raise ValueError("choose() returned a non-reducible position")
         for produced, factor in _apply_at(w, i, system).items():
             if produced not in pending:
                 heapq.heappush(heap, (key(produced), produced))
@@ -134,17 +129,12 @@ def _reduce_word(
     return NCPolynomial._from_reduced(normal)
 
 
-def normalize(
-    p: NCPolynomial,
-    system: RelationSystem,
-    *,
-    choose: Optional[ChoosePosition] = None,
-) -> NCPolynomial:
+def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
     normal words, extended linearly over the terms of p."""
     total: dict[str, RationalFunction] = {}
     for word, coeff in p.items():
-        for w, c in _reduce_word(word, system, choose).items():
+        for w, c in _reduce_word(word, system).items():
             _accumulate(total, w, coeff * c)
     return NCPolynomial._from_reduced(total)
 

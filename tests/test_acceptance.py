@@ -161,24 +161,19 @@ def test_even_odd_identity():
     )
 
 
-def test_confluence():
+def test_confluence(reduce_randomly):
     word_rng = random.Random(20260810)
     words = [
         "".join(word_rng.choice("abc") for _ in range(word_rng.randint(0, 8)))
         for _ in range(1000)
     ]
     strategy_rng = random.Random(4242)
-
-    def randomized(word, positions):
-        return positions[strategy_rng.randrange(len(positions))]
-
     ok = True
     for word in words:
         p = NCPolynomial.from_word(word)
         for system in (SYSTEM_A, SYSTEM_B):
             left = normalize(p, system)
-            other = normalize(p, system, choose=randomized)
-            ok = ok and left == other
+            ok = ok and left == reduce_randomly(p, system, strategy_rng)
     _criterion("confluence on 1000 seeded words (len<=8), both systems", ok)
 
 

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qexpand
 from qexpand import cli
 from qexpand.freealgebra import NCPolynomial
 from qexpand.ordering import SYSTEM_B
@@ -233,3 +237,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "--system", "A", "--n", "0"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_reader_closing_early_is_silent(self, buffered, tmp_path):
+        # buffered, the write fails at the final flush; unbuffered, at print
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = os.path.dirname(os.path.dirname(qexpand.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        err = tmp_path / "stderr"
+        with open(err, "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qexpand", "expand", "--system", "A", "--n", "3"],
+                stdout=subprocess.PIPE,
+                stderr=err_file,
+                env=env,
+            )
+        proc.stdout.close()  # before the interpreter has started, let alone written
+        assert proc.wait(timeout=60) == 1
+        assert err.read_bytes() == b""

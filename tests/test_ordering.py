@@ -7,6 +7,7 @@ import pytest
 
 from qexpand.exactarith import IntPolynomial, RF_ONE, RationalFunction
 from qexpand.freealgebra import NCPolynomial
+from qexpand import ordering
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
@@ -16,8 +17,6 @@ from qexpand.ordering import (
     RelationSystem,
     is_normal,
     normalize,
-    reducible_positions,
-    rewrite_step,
 )
 from qexpand.qnumbers import q_int, xi
 
@@ -54,6 +53,24 @@ class TestRelationSystem:
             RelationSystem(
                 "loop", "abc", {"ba": ab, "ca": NCPolynomial({"cc": RF_ONE}), "cb": ab}
             )
+
+    def test_unresolvable_overlap_rejected_system_a(self):
+        # rewriting ac first ends in q^4 bca + q^2 cc, rewriting cb first
+        # in q^4 bca + q cc
+        rules = {**SYSTEM_A.rules, "cb": NCPolynomial({"bc": qpow(1)})}
+        with pytest.raises(ValueError, match="overlap 'acb'"):
+            RelationSystem("bad", "bca", rules)
+
+    def test_unresolvable_overlap_rejected_system_b(self):
+        rules = {**SYSTEM_B.rules, "bc": NCPolynomial({"cb": qpow(1)})}
+        with pytest.raises(ValueError, match="overlap 'abc'"):
+            RelationSystem("bad", "cba", rules)
+
+    def test_pure_q_commutations_resolve(self):
+        # with no c term in ab, both sides of acb collect the same power of q
+        rules = {**SYSTEM_A_C0.rules, "cb": NCPolynomial({"bc": qpow(1)})}
+        system = RelationSystem("A-c0 variant", "bca", rules)
+        assert normalize(word_poly("acb"), system) == NCPolynomial({"bca": qpow(4)})
 
     def test_normal_order_must_permute_generators(self):
         rule = {"ab": NCPolynomial({"ba": RF_ONE})}
@@ -95,24 +112,23 @@ class TestIsNormal:
 
 
 class TestRewriteStep:
+    """Words whose normal form is one rewrite step away, or zero steps."""
+
     def test_core_rule_a(self):
-        assert rewrite_step("ab", SYSTEM_A) == NCPolynomial(
+        assert normalize(word_poly("ab"), SYSTEM_A) == NCPolynomial(
             {"ba": qpow(1), "c": RF_ONE}
         )
 
     def test_core_rule_b(self):
-        assert rewrite_step("ac", SYSTEM_B) == NCPolynomial({"ca": qpow(2), "bb": xi()})
+        assert normalize(word_poly("ac"), SYSTEM_B) == NCPolynomial(
+            {"ca": qpow(2), "bb": xi()}
+        )
 
     def test_swap_rule(self):
-        assert rewrite_step("cb", SYSTEM_A) == NCPolynomial({"bc": qpow(2)})
+        assert normalize(word_poly("cb"), SYSTEM_A) == NCPolynomial({"bc": qpow(2)})
 
     def test_normal_word_is_noop(self):
-        assert rewrite_step("bca", SYSTEM_A) is None
-
-    def test_leftmost_position(self):
-        assert reducible_positions("abab", SYSTEM_A) == [0, 2]
-        step = rewrite_step("abab", SYSTEM_A)
-        assert step == NCPolynomial({"baab": qpow(1), "cab": RF_ONE})
+        assert normalize(word_poly("bca"), SYSTEM_A) == word_poly("bca")
 
 
 class TestNormalizeExamples:
@@ -243,34 +259,27 @@ class TestNormalizeProperties:
                 for w in normalize(word_poly(word), system).words():
                     assert is_normal(w, system)
 
-    def test_confluence_smoke(self):
+    def test_confluence_smoke(self, reduce_randomly):
         rng = random.Random(99)
-
-        def choose(word, positions):
-            return positions[rng.randrange(len(positions))]
-
         for word in _random_words(200, 8, seed=14):
             for system in (SYSTEM_A, SYSTEM_B):
                 left = normalize(word_poly(word), system)
-                randomized = normalize(word_poly(word), system, choose=choose)
-                assert left == randomized
+                assert left == reduce_randomly(word_poly(word), system, rng)
 
-    def test_each_word_is_rewritten_once(self):
-        rng = random.Random(98)
+    def test_each_word_is_rewritten_once(self, monkeypatch):
+        seen = []
+        apply_at = ordering._apply_at
+
+        def recording(word, i, system):
+            seen.append(word)
+            return apply_at(word, i, system)
+
+        monkeypatch.setattr(ordering, "_apply_at", recording)
         for word in _random_words(100, 8, seed=15):
             for system in SYSTEMS.values():
-                seen = []
-
-                def choose(w, positions):
-                    seen.append(w)
-                    return positions[rng.randrange(len(positions))]
-
-                normalize(word_poly(word), system, choose=choose)
+                seen.clear()
+                normalize(word_poly(word), system)
                 assert len(seen) == len(set(seen))
-
-    def test_choose_must_return_reducible_position(self):
-        with pytest.raises(ValueError, match="non-reducible"):
-            normalize(word_poly("ab"), SYSTEM_A, choose=lambda w, ps: 7)
 
     def test_normalize_stores_nothing(self):
         system = RelationSystem("fresh", "bca", dict(SYSTEM_A.rules))
