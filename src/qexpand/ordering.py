@@ -5,20 +5,32 @@ toward a target generator order.  A word is normal when its letter ranks
 are non-decreasing from left to right; :func:`normalize` rewrites every
 word of a polynomial into a combination of normal words.
 
-Each system is checked for termination and for confluence when it is
-built.  One order governs the engine: deglex under the letter ranks,
-comparing words by length first and then lexicographically.  Every rule
-must replace its pattern by deglex-smaller words.  Deglex is a monomial
-order, so a rewrite at any position of any word also makes the word
-smaller, and since deglex is a well-order, rewriting terminates.  The
-only ambiguities of two-letter rules are overlaps ``xyz`` of patterns
-``xy`` and ``yz``; the check normalises both one-step rewrites of each
-overlap and requires the results to agree.  By Bergman's diamond lemma
-("The diamond lemma for ring theory", 1978) every word of a system that
-passes both checks has a unique normal form, whatever pairs are rewritten
-in whatever order.  Word reduction rewrites the leftmost out-of-order
-pair and pops the deglex-largest pending word first, so each word is
-processed once, after every word that can produce it.
+Each system is checked for termination, for completeness and for
+confluence when it is built.  One order governs the engine: deglex under
+the letter ranks, comparing words by length first and then
+lexicographically.  Every rule must replace its pattern by deglex-smaller
+words.  Deglex is a monomial order, so a rewrite at any position of any
+word also makes the word smaller, and since deglex is a well-order,
+rewriting terminates.  Every out-of-order pair ``xy`` must have a rule,
+so a word is irreducible exactly when it is normal.  The only ambiguities
+of two-letter rules are overlaps ``xyz`` of patterns ``xy`` and ``yz``;
+the check normalises both one-step rewrites of each overlap and requires
+the results to agree.  By Bergman's diamond lemma ("The diamond lemma for
+ring theory", 1978) every word of a system that passes these checks has a
+unique normal form, whatever pairs are rewritten in whatever order.  Word
+reduction rewrites the leftmost out-of-order pair and pops the
+deglex-largest pending word first, so each word is processed once, after
+every word that can produce it.
+
+Every pattern ``xy`` has rank(x) > rank(y), so a prefix of rank-0 letters
+and a suffix of top-rank letters are inert: no pattern starts inside the
+prefix or ends inside the suffix, and no rewrite of the rest reaches
+them.  Hence normalize(P·X·S) = P·normalize(X)·S for such a prefix P and
+suffix S, and :func:`normalize` reduces only the core X between them.  It
+keeps a table from each core to its reduction for the length of one
+call; the oracle pass in :mod:`qexpand.verify` shares one table across
+all of its steps, so each core is reduced once per pass.  No table
+outlives the call or the pass that made it.
 """
 
 from __future__ import annotations
@@ -48,6 +60,17 @@ class RelationSystem:
         self.rules = dict(rules)
         for pattern, replacement in self.rules.items():
             self._check_rule(pattern, replacement)
+        missing = [
+            x + y
+            for x in normal_order
+            for y in normal_order
+            if self.rank[x] > self.rank[y] and x + y not in self.rules
+        ]
+        if missing:
+            raise ValueError(
+                f"no rule for out-of-order pattern {', '.join(map(repr, missing))} "
+                f"in system {name}"
+            )
         for xy in self.rules:
             for yz in self.rules:
                 if xy[1] == yz[0]:
@@ -96,11 +119,7 @@ def is_normal(word: str, system: RelationSystem) -> bool:
 
 
 def _apply_at(word: str, i: int, system: RelationSystem) -> NCPolynomial:
-    replacement = system.rules.get(word[i : i + 2])
-    if replacement is None:
-        raise ValueError(
-            f"no rule for pattern {word[i:i + 2]!r} in system {system.name}"
-        )
+    replacement = system.rules[word[i : i + 2]]
     prefix, suffix = word[:i], word[i + 2 :]
     # replacement words differ pairwise, so the rebuilt words do too
     return NCPolynomial._from_reduced(
@@ -129,14 +148,29 @@ def _reduce_word(word: str, system: RelationSystem) -> NCPolynomial:
     return NCPolynomial._from_reduced(normal)
 
 
+def _normalize(
+    p: NCPolynomial, system: RelationSystem, cores: dict[str, NCPolynomial]
+) -> NCPolynomial:
+    """normalize(p, system), reading and filling the table ``cores`` of
+    core reductions, which must belong to this system."""
+    first, last = system.normal_order[0], system.normal_order[-1]
+    total: dict[str, RationalFunction] = {}
+    for word, coeff in p.items():
+        rest = word.lstrip(first)
+        core = rest.rstrip(last)
+        prefix, suffix = word[: len(word) - len(rest)], rest[len(core) :]
+        reduced = cores.get(core)
+        if reduced is None:
+            reduced = cores[core] = _reduce_word(core, system)
+        for w, c in reduced.items():
+            _accumulate(total, prefix + w + suffix, coeff * c)
+    return NCPolynomial._from_reduced(total)
+
+
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
     normal words, extended linearly over the terms of p."""
-    total: dict[str, RationalFunction] = {}
-    for word, coeff in p.items():
-        for w, c in _reduce_word(word, system).items():
-            _accumulate(total, w, coeff * c)
-    return NCPolynomial._from_reduced(total)
+    return _normalize(p, system, {})
 
 
 _Q1 = RationalFunction(IntPolynomial((0, 1)))

@@ -35,7 +35,7 @@ from .ordering import (
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
-    normalize,
+    _normalize,
 )
 from .qnumbers import phi_closed, phi_recursive, q_int, theta_a, theta_b, xi
 
@@ -197,11 +197,13 @@ def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
 def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[NCPolynomial]:
     """The oracle expansions for n = 1, ..., max_n in one pass: each step
     multiplies the previous one by the sum of generators and normal-orders
-    the product, so no word is reduced twice."""
+    the product.  One table of core reductions serves every step, so each
+    word core is reduced once per pass."""
     expansion = s = base_sum(system)
     yield expansion
+    cores: dict[str, NCPolynomial] = {}
     for _ in range(max_n - 1):
-        expansion = normalize(expansion * s, system)
+        expansion = _normalize(expansion * s, system, cores)
         yield expansion
 
 

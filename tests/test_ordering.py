@@ -72,6 +72,12 @@ class TestRelationSystem:
         system = RelationSystem("A-c0 variant", "bca", rules)
         assert normalize(word_poly("acb"), system) == NCPolynomial({"bca": qpow(4)})
 
+    def test_partial_system_rejected(self):
+        # without rules for cb and ac, the out-of-order word ac would have
+        # no rewrite and would fail only when normalised
+        with pytest.raises(ValueError, match="no rule for .*'cb', 'ac'"):
+            RelationSystem("partial", "bca", {"ab": SYSTEM_A.rules["ab"]})
+
     def test_normal_order_must_permute_generators(self):
         rule = {"ab": NCPolynomial({"ba": RF_ONE})}
         for order in ("bc", "bcaa", "bcd", "bba"):
@@ -280,6 +286,20 @@ class TestNormalizeProperties:
                 seen.clear()
                 normalize(word_poly(word), system)
                 assert len(seen) == len(set(seen))
+
+    def test_inert_prefix_and_suffix(self, reduce_randomly):
+        # a run of the rank-0 letter on the left and of the top-rank letter
+        # on the right never takes part in a rewrite
+        rng = random.Random(16)
+        for core in _random_words(40, 6, seed=16):
+            for system in SYSTEMS.values():
+                first, last = system.normal_order[0], system.normal_order[-1]
+                prefix = word_poly(first * rng.randint(0, 3))
+                suffix = word_poly(last * rng.randint(0, 3))
+                whole = prefix * word_poly(core) * suffix
+                expected = prefix * normalize(word_poly(core), system) * suffix
+                assert normalize(whole, system) == expected
+                assert reduce_randomly(whole, system, rng) == expected
 
     def test_normalize_stores_nothing(self):
         system = RelationSystem("fresh", "bca", dict(SYSTEM_A.rules))

@@ -1,11 +1,15 @@
 """Tests for the formula-versus-oracle verification layer."""
 
 import cmath
+import hashlib
+import json
+import random
 
 import pytest
 
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction
 from qexpand.freealgebra import NCPolynomial
+from qexpand import ordering
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
@@ -18,6 +22,7 @@ from qexpand.qnumbers import phi_closed, q_int, theta_a
 from qexpand.verify import (
     Pole,
     _indices,
+    _oracle_pass,
     base_sum,
     eval_at_root,
     expand_formula,
@@ -147,6 +152,38 @@ class TestVerifyExpansions:
             reports = verify_expansions(system, 6)
             for n in range(1, 7):
                 assert reports[n - 1].oracle_terms == expand_oracle(system, n)
+
+    def test_oracle_pass_reduces_each_core_once(self, monkeypatch, reduce_randomly):
+        reduced = []
+        reduce_word = ordering._reduce_word
+
+        def recording(word, system):
+            reduced.append(word)
+            return reduce_word(word, system)
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        rng = random.Random(17)
+        for system in (SYSTEM_A, SYSTEM_B):
+            reduced.clear()
+            steps = list(_oracle_pass(system, 10))
+            assert len(reduced) == len(set(reduced))
+            s = base_sum(system)
+            products = [previous * s for previous in steps[:-1]]
+            assert len(reduced) < sum(len(product) for product in products)
+            for product, step in zip(products, steps[1:]):
+                assert step == reduce_randomly(product, system, rng)
+
+    def test_oracle_output_is_pinned(self):
+        # digests of the serialised expansions, computed before the rewrite
+        # engine began to reduce each word core once per pass; every
+        # numerator and denominator must stay identical
+        pinned = {
+            (SYSTEM_A, 24): "eaea5f4411ebd777dfa01acc767dcd7966bfaafb81a8287c8206ac2afed43ca6",
+            (SYSTEM_B, 14): "573a990e3c951689b9060e6245be5652673d3143ae863179b391ad8bba979886",
+        }
+        for (system, n), digest in pinned.items():
+            data = json.dumps(expand_oracle(system, n).to_json()).encode()
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def test_report_json_schema(self):
         report = verify_expansions(SYSTEM_A, 1)[0]
