@@ -8,7 +8,6 @@ exactly in the field of rational functions of q.
 
 from .exactarith import (
     IntPolynomial,
-    PoleError,
     RationalFunction,
     RF_ONE,
     RF_ZERO,
@@ -38,7 +37,6 @@ from .qnumbers import (
 from .verify import (
     ExpansionReport,
     Mismatch,
-    Pole,
     VerificationSummary,
     eval_at_root,
     expand_formula,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "IntPolynomial",
     "RationalFunction",
-    "PoleError",
     "RF_ZERO",
     "RF_ONE",
     "poly_gcd",
@@ -84,7 +81,6 @@ __all__ = [
     "ExpansionReport",
     "VerificationSummary",
     "Mismatch",
-    "Pole",
     "expand_formula",
     "expand_oracle",
     "verify_expansions",

@@ -20,7 +20,6 @@ from .ordering import SYSTEM_A, SYSTEM_B, SYSTEMS, normalize
 from .qnumbers import phi_closed, phi_recursive, q_factorial, q_int
 from .verify import (
     SPECS,
-    Pole,
     eval_at_root,
     expand_formula,
     verify_degenerations,
@@ -143,30 +142,14 @@ def _run_eval(args) -> int:
     expansion = expand_formula(CLOSED_FORM[args.system], args.n)
     rows = eval_at_root(expansion, args.at_root, args.sign)
     if args.format == "json":
-        payload = []
-        for word, value in rows:
-            if isinstance(value, Pole):
-                payload.append(
-                    {
-                        "word": word,
-                        "pole": {
-                            "num": {"re": value.num_value.real, "im": value.num_value.imag},
-                            "den": {"re": value.den_value.real, "im": value.den_value.imag},
-                        },
-                    }
-                )
-            else:
-                payload.append({"word": word, "value": {"re": value.real, "im": value.imag}})
+        payload = [
+            {"word": word, "value": {"re": value.real, "im": value.imag}}
+            for word, value in rows
+        ]
         print(json.dumps(payload))
     else:
         for word, value in rows:
-            if isinstance(value, Pole):
-                print(
-                    f"{format_word(word)}\tpole num={_fmt_complex(value.num_value)} "
-                    f"den={_fmt_complex(value.den_value)}"
-                )
-            else:
-                print(f"{format_word(word)}\t{_fmt_complex(value)}")
+            print(f"{format_word(word)}\t{_fmt_complex(value)}")
     return 0
 
 

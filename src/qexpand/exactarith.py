@@ -52,21 +52,6 @@ from typing import Sequence
 _KRONECKER_MIN = 16
 
 
-class PoleError(ZeroDivisionError):
-    """Raised when a rational function is evaluated at a denominator root.
-
-    Carries the numerically evaluated numerator and denominator so callers
-    can report the offending values instead of aborting.
-    """
-
-    def __init__(self, num_value: complex, den_value: complex):
-        super().__init__(
-            f"pole at evaluation point (num={num_value!r}, den={den_value!r})"
-        )
-        self.num_value = num_value
-        self.den_value = den_value
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """A polynomial in q with integer coefficients; ``coeffs[k]`` is for q**k."""
@@ -446,10 +431,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def constant(cls, value: int) -> RationalFunction:
-        return cls(IntPolynomial((value,)))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -501,16 +482,10 @@ class RationalFunction:
     def evaluate(self, point: complex) -> complex:
         """num(point)/den(point) in complex double precision.
 
-        Raises PoleError when |den(point)| falls below a scale-aware cutoff
-        of 1e-12 * (1 + max |den coefficient|).
+        Raises ZeroDivisionError only when den(point) is exactly zero.
         """
         z = complex(point)
-        den_value = complex(self.den(z))
-        num_value = complex(self.num(z))
-        tol = 1e-12 * (1.0 + float(max(abs(c) for c in self.den.coeffs)))
-        if abs(den_value) < tol:
-            raise PoleError(num_value, den_value)
-        return num_value / den_value
+        return complex(self.num(z)) / complex(self.den(z))
 
     def to_json(self) -> dict[str, list[str]]:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

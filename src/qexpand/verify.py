@@ -17,12 +17,11 @@ import cmath
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .exactarith import (
     IntPolynomial,
     ONE,
-    PoleError,
     RF_ONE,
     RF_ZERO,
     RationalFunction,
@@ -94,14 +93,6 @@ class VerificationSummary:
             "failures": self.failures,
             "duration_ms": self.duration_ms,
         }
-
-
-@dataclass(frozen=True)
-class Pole:
-    """Marker for a coefficient whose denominator vanishes at the point."""
-
-    num_value: complex
-    den_value: complex
 
 
 def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
@@ -359,13 +350,8 @@ def verify_identity_4i2(max_i: int) -> VerificationSummary:
 
 def eval_at_root(
     p: NCPolynomial, order: int, sign: str = "+"
-) -> list[tuple[str, Union[complex, Pole]]]:
-    """Evaluate every coefficient at q = sign * exp(2*pi*i/order).
-
-    Coefficients whose denominator vanishes at the point come back as
-    :class:`Pole` markers carrying the raw numerator and denominator
-    values; poles are reported, never raised.
-    """
+) -> list[tuple[str, complex]]:
+    """Evaluate every coefficient at q = sign * exp(2*pi*i/order)."""
     if order < 3:
         raise ValueError("N must be >= 3")
     if sign not in ("+", "-"):
@@ -373,10 +359,4 @@ def eval_at_root(
     point = cmath.exp(2j * cmath.pi / order)
     if sign == "-":
         point = -point
-    rows: list[tuple[str, Union[complex, Pole]]] = []
-    for word, coeff in p.terms():
-        try:
-            rows.append((word, coeff.evaluate(point)))
-        except PoleError as err:
-            rows.append((word, Pole(err.num_value, err.den_value)))
-    return rows
+    return [(word, coeff.evaluate(point)) for word, coeff in p.terms()]

@@ -179,9 +179,24 @@ class TestEvalVerb:
             capsys,
         )
         data = json.loads(out)
-        assert all(("value" in row) or ("pole" in row) for row in data)
+        assert all("value" in row for row in data)
         words = [row["word"] for row in data]
         assert words == sorted(words, key=lambda w: (len(w), w))
+
+    def test_formula_coefficients_have_no_poles(self, capsys):
+        # every coefficient lies in Z[q, (1-q)^-1], so no root of unity other
+        # than 1 is a pole, even where (q-1)^k is small in floats
+        argv = ["eval", "--system", "B", "--n", "20", "--at-root", "100"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 231
+        assert not any("pole" in line for line in lines)
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert len(data) == 231
+        assert all(set(row) == {"word", "value"} for row in data)
 
 
 class TestUsageErrors:

@@ -13,7 +13,6 @@ from qexpand.exactarith import (
     _KRONECKER_MIN,
     IntPolynomial,
     ONE,
-    PoleError,
     Q,
     RF_ONE,
     RF_ZERO,
@@ -224,11 +223,9 @@ class TestEvaluate:
         assert abs(value) < 1e-12
 
     def test_pole_detection(self):
-        with pytest.raises(PoleError, match="pole at evaluation point") as exc:
+        # only a denominator that is exactly zero in floats raises
+        with pytest.raises(ZeroDivisionError):
             rf((1,), (1, -1)).evaluate(1.0)
-        assert exc.value.den_value == pytest.approx(0)
-        # canonical form flips 1/(1-q) to (-1)/(q-1)
-        assert exc.value.num_value == pytest.approx(-1)
 
     @given(rationals, rationals, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60)
@@ -238,10 +235,7 @@ class TestEvaluate:
             scale = 1.0 + max((abs(c) for c in r.den.coeffs), default=0)
             assume(abs(complex(r.den(q0))) > 1e-3 * scale)
         product = x * y
-        try:
-            vx, vy, vxy = x.evaluate(q0), y.evaluate(q0), product.evaluate(q0)
-        except PoleError:
-            assume(False)
+        vx, vy, vxy = x.evaluate(q0), y.evaluate(q0), product.evaluate(q0)
         assert abs(vxy - vx * vy) <= 1e-9 * max(1.0, abs(vxy), abs(vx * vy))
 
 

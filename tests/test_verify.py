@@ -20,7 +20,6 @@ from qexpand.ordering import (
 )
 from qexpand.qnumbers import phi_closed, q_int, theta_a
 from qexpand.verify import (
-    Pole,
     _indices,
     _oracle_pass,
     base_sum,
@@ -276,12 +275,6 @@ class TestEvalAtRoot:
         ((_, value),) = eval_at_root(p, 3)
         expected = 1 / (1 - cmath.exp(2j * cmath.pi / 3))
         assert value == pytest.approx(expected)
-
-    def test_pole_is_reported_not_raised(self):
-        p = NCPolynomial({"a": RationalFunction(P((1,)), q_int(3))})
-        ((_, value),) = eval_at_root(p, 3)
-        assert isinstance(value, Pole)
-        assert abs(value.den_value) < 1e-9
 
     def test_negative_sign_point(self):
         p = NCPolynomial({"a": RationalFunction(P((0, 1)))})
