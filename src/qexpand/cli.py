@@ -29,8 +29,8 @@ from .verify import (
     verify_recurrences,
 )
 
-# systems with a closed-form family, by name
-CLOSED_FORM = {s.name: s for s, spec in SPECS.items() if spec.family is not None}
+# the paper's two systems, whose families are its closed forms, by name
+CLOSED_FORM = {s.name: s for s in (SYSTEM_A, SYSTEM_B)}
 SUITES = ("lemma1", "lemma2", "phi", "recurrences", "degenerations", "identity", "all")
 
 
@@ -154,54 +154,37 @@ def _run_eval(args) -> int:
 
 
 def _run_verify(args) -> int:
-    lines: list[str] = []
-    payload: list[dict] = []
-    failures = 0
-
-    def add_reports(name: str, reports) -> None:
-        nonlocal failures
-        matched = sum(r.match for r in reports)
-        failures += len(reports) - matched
-        lines.append(f"{name}: {matched}/{len(reports)} match")
-        payload.append(
-            {
-                "suite": name,
-                "cases": len(reports),
-                "failures": len(reports) - matched,
-                "duration_ms": sum(r.duration_ms for r in reports),
-                "reports": [r.to_json() for r in reports],
-            }
-        )
-
-    def add_summary(summary) -> None:
-        nonlocal failures
-        failures += summary.failures
-        lines.append(
-            f"{summary.suite}: {summary.cases - summary.failures}/{summary.cases} match"
-        )
-        payload.append(summary.to_json())
-
     suite = args.suite
-    if suite in ("lemma1", "all"):
-        add_reports("lemma1", verify_expansions(SYSTEM_A, args.max_n or 8))
-    if suite in ("lemma2", "all"):
-        add_reports("lemma2", verify_expansions(SYSTEM_B, args.max_n or 6))
+    records: list[dict] = []  # the JSON record of each suite run, in order
+    for name, system, default_n in (("lemma1", SYSTEM_A, 8), ("lemma2", SYSTEM_B, 6)):
+        if suite in (name, "all"):
+            reports = verify_expansions(system, args.max_n or default_n)
+            records.append(
+                {
+                    "suite": name,
+                    "cases": len(reports),
+                    "failures": sum(not r.match for r in reports),
+                    "duration_ms": sum(r.duration_ms for r in reports),
+                    "reports": [r.to_json() for r in reports],
+                }
+            )
     if suite in ("phi", "all"):
-        add_summary(verify_phi(args.max_beta))
+        records.append(verify_phi(args.max_beta).to_json())
     if suite in ("recurrences", "all"):
-        add_summary(verify_recurrences(SYSTEM_A, args.bound or 10))
-        add_summary(verify_recurrences(SYSTEM_B, args.bound or 8))
+        records.append(verify_recurrences(SYSTEM_A, args.bound or 10).to_json())
+        records.append(verify_recurrences(SYSTEM_B, args.bound or 8).to_json())
     if suite in ("degenerations", "all"):
-        add_summary(verify_degenerations(args.binomial_bound, args.multinomial_bound))
+        bounds = args.binomial_bound, args.multinomial_bound
+        records.append(verify_degenerations(*bounds).to_json())
     if suite in ("identity", "all"):
-        add_summary(verify_identity_4i2(args.max_i))
+        records.append(verify_identity_4i2(args.max_i).to_json())
 
     if args.format == "json":
-        print(json.dumps({"suites": payload}, indent=2))
+        print(json.dumps({"suites": records}, indent=2))
     else:
-        for line in lines:
-            print(line)
-    return 1 if failures else 0
+        for r in records:
+            print(f"{r['suite']}: {r['cases'] - r['failures']}/{r['cases']} match")
+    return 1 if any(r["failures"] for r in records) else 0
 
 
 def run(args: argparse.Namespace) -> int:

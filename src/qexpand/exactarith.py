@@ -45,7 +45,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
-from operator import add, index, neg, sub
+from operator import add, index, neg
 from typing import Sequence
 
 # Length of the shorter operand from which Kronecker substitution is used.
@@ -119,15 +119,7 @@ class IntPolynomial:
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = list(map(sub, a, b))
-        if len(a) > len(b):
-            out.extend(a[len(b) :])
-        elif len(a) < len(b):
-            out.extend([-c for c in b[len(a) :]])
-        else:
-            return _trimmed(out)
-        return IntPolynomial._raw(tuple(out))
+        return self + -other
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         if isinstance(other, int):
@@ -461,8 +453,7 @@ class RationalFunction:
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        num, other_num, den = self._over_common_den(other)
-        return RationalFunction(num - other_num, den)
+        return self + -other
 
     def __neg__(self) -> RationalFunction:
         return RationalFunction(-self.num, self.den)

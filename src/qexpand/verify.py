@@ -5,7 +5,7 @@ families; :func:`expand_oracle` multiplies out the corresponding sum of
 generators and normal-orders after every step.  The ``verify_*`` entry
 points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
-limits against independent Pascal-style oracles, and a numeric
+limits, whose families are independent Pascal references, and a numeric
 specialization at complex points on the unit circle.
 
 Verification failures are data (counted and reported), never exceptions.
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .exactarith import (
     IntPolynomial,
@@ -87,12 +88,7 @@ class VerificationSummary:
     duration_ms: int
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "duration_ms": self.duration_ms,
-        }
+        return asdict(self)
 
 
 def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
@@ -128,33 +124,40 @@ def _recurrence_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     )
 
 
+def _binomial_family(alpha: int, beta: int, gamma: int) -> RationalFunction:
+    """System A at c = 0: [alpha + gamma, alpha] on words without c, else 0."""
+    return RF_ZERO if beta else RationalFunction(gaussian_binomial(alpha + gamma, alpha))
+
+
+def _multinomial_family(alpha: int, beta: int, gamma: int) -> RationalFunction:
+    """System B at xi = 0: the base-q^2 multinomial coefficient."""
+    return RationalFunction(q2_multinomial(alpha, beta, gamma))
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """The expansion data of a built-in system: the degree of the middle
-    letter of its normal order, its closed-form coefficient family, and the
-    family's recurrence from lower indices (the degenerate systems have no
-    family and no recurrence)."""
+    letter of its normal order, its coefficient family, and the family's
+    recurrence from lower indices.  The degenerate systems carry their
+    Pascal references as families, and have no recurrence."""
 
     weight: int
-    family: Optional[Callable[..., RationalFunction]] = None
+    family: Callable[..., RationalFunction]
     recurrence: Optional[Callable[..., RationalFunction]] = None
 
 
 SPECS = {
     SYSTEM_A: SystemSpec(2, theta_a, _recurrence_a),
     SYSTEM_B: SystemSpec(1, theta_b, _recurrence_b),
-    SYSTEM_A_C0: SystemSpec(2),
-    SYSTEM_B_XI0: SystemSpec(1),
+    SYSTEM_A_C0: SystemSpec(2, _binomial_family),
+    SYSTEM_B_XI0: SystemSpec(1, _multinomial_family),
 }
 
 
-def _spec(system: RelationSystem, *, closed_form: bool = False) -> SystemSpec:
-    """The system's record; with closed_form, it must also have a family."""
+def _spec(system: RelationSystem) -> SystemSpec:
     spec = SPECS.get(system)
     if spec is None:
         raise ValueError(f"no expansion record for system {system.name!r}")
-    if closed_form and spec.family is None:
-        raise ValueError(f"no closed-form family for system {system.name!r}")
     return spec
 
 
@@ -177,7 +180,7 @@ def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
     """The degree-n expansion assembled directly from the coefficient family."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = _spec(system, closed_form=True)
+    spec = _spec(system)
     first, middle, last = system.normal_order
     return NCPolynomial(
         (first * alpha + middle * beta + last * gamma, spec.family(alpha, beta, gamma))
@@ -208,13 +211,24 @@ def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
     return expansion
 
 
+def _pairs(
+    formula: NCPolynomial, oracle: NCPolynomial
+) -> Iterator[tuple[str, RationalFunction, RationalFunction]]:
+    """Every word of either expansion, in term order, with both coefficients."""
+    for w in sorted(set(formula.words()) | set(oracle.words()), key=word_sort_key):
+        yield w, formula.coefficient(w), oracle.coefficient(w)
+
+
 def _compare(formula: NCPolynomial, oracle: NCPolynomial) -> tuple[Mismatch, ...]:
-    words = sorted(set(formula.words()) | set(oracle.words()), key=word_sort_key)
-    return tuple(
-        Mismatch(w, formula.coefficient(w), oracle.coefficient(w))
-        for w in words
-        if formula.coefficient(w) != oracle.coefficient(w)
-    )
+    return tuple(Mismatch(w, f, o) for w, f, o in _pairs(formula, oracle) if f != o)
+
+
+def _tally(suite: str, failed: Iterable[bool]) -> VerificationSummary:
+    """Time and count a suite's cases, one flag per case, true on failure."""
+    start = time.perf_counter()
+    flags = list(failed)
+    duration = int((time.perf_counter() - start) * 1000)
+    return VerificationSummary(suite, len(flags), sum(flags), duration)
 
 
 def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionReport]:
@@ -251,31 +265,25 @@ def verify_recurrences(system: RelationSystem, bound: int) -> VerificationSummar
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    spec = _spec(system, closed_form=True)
-    start = time.perf_counter()
-    cases = failures = 0
-    for indices in _indices(spec.weight, 1):
-        cases += 1
-        failures += spec.family(*indices) != RF_ONE
-    for degree in range(1, bound + 1):
-        for indices in _indices(spec.weight, degree):
-            cases += 1
-            failures += spec.family(*indices) != spec.recurrence(*indices)
-    duration = int((time.perf_counter() - start) * 1000)
-    return VerificationSummary(f"recurrences-{system.name}", cases, failures, duration)
+    spec = _spec(system)
+    if spec.recurrence is None:
+        raise ValueError(f"no recurrence for system {system.name!r}")
+    boundary = (spec.family(*i) != RF_ONE for i in _indices(spec.weight, 1))
+    recurrence = (
+        spec.family(*i) != spec.recurrence(*i)
+        for degree in range(1, bound + 1)
+        for i in _indices(spec.weight, degree)
+    )
+    return _tally(f"recurrences-{system.name}", chain(boundary, recurrence))
 
 
 def verify_phi(max_beta: int) -> VerificationSummary:
     """Check that the recursion and the closed form agree for every beta."""
     if max_beta < 2:
         raise ValueError("max_beta must be >= 2")
-    start = time.perf_counter()
-    cases = failures = 0
-    for beta in range(max_beta + 1):
-        cases += 1
-        failures += phi_recursive(beta) != phi_closed(beta)
-    duration = int((time.perf_counter() - start) * 1000)
-    return VerificationSummary("phi", cases, failures, duration)
+    return _tally(
+        "phi", (phi_recursive(beta) != phi_closed(beta) for beta in range(max_beta + 1))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -302,50 +310,32 @@ def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
 def verify_degenerations(
     binomial_bound: int = 12, multinomial_bound: int = 8
 ) -> VerificationSummary:
-    """Check both degenerate systems coefficient-by-coefficient.
+    """Check both degenerate systems coefficient-by-coefficient, one case
+    per word of either expansion.
 
     System A with the shortening rule removed must reproduce Gaussian
     binomials; system B with the squaring rule removed must reproduce
-    base-q^2 multinomials.  Both references come from recursions that never
-    touch the theta code paths.
+    base-q^2 multinomials.  Both references are their systems' families,
+    built by recursions that never touch the theta code paths.
     """
     if binomial_bound < 1 or multinomial_bound < 1:
         raise ValueError("bounds must be >= 1")
-    start = time.perf_counter()
-    cases = failures = 0
-    for n, expansion in enumerate(_oracle_pass(SYSTEM_A_C0, binomial_bound), 1):
-        expected = {
-            "b" * k + "a" * (n - k): gaussian_binomial(n, k) for k in range(n + 1)
-        }
-        for word in sorted(set(expansion.words()) | set(expected), key=word_sort_key):
-            cases += 1
-            reference = RationalFunction(expected.get(word, ZERO))
-            failures += expansion.coefficient(word) != reference
-    for n, expansion in enumerate(_oracle_pass(SYSTEM_B_XI0, multinomial_bound), 1):
-        expected = {
-            "c" * alpha + "b" * beta + "a" * gamma: q2_multinomial(alpha, beta, gamma)
-            for alpha, beta, gamma in _indices(1, n)
-        }
-        for word in sorted(set(expansion.words()) | set(expected), key=word_sort_key):
-            cases += 1
-            reference = RationalFunction(expected.get(word, ZERO))
-            failures += expansion.coefficient(word) != reference
-    duration = int((time.perf_counter() - start) * 1000)
-    return VerificationSummary("degenerations", cases, failures, duration)
+    bounds = ((SYSTEM_A_C0, binomial_bound), (SYSTEM_B_XI0, multinomial_bound))
+    reports = (r for system, bound in bounds for r in verify_expansions(system, bound))
+    pairs = (pair for r in reports for pair in _pairs(r.formula_terms, r.oracle_terms))
+    return _tally("degenerations", (f != o for _, f, o in pairs))
 
 
 def verify_identity_4i2(max_i: int) -> VerificationSummary:
     """Check (1+q) [2i+1] in base q^2 equals [4i+2] in base q, exactly."""
     if max_i < 1:
         raise ValueError("max_i must be >= 1")
-    start = time.perf_counter()
     one_plus_q = IntPolynomial((1, 1))
-    cases = failures = 0
-    for i in range(1, max_i + 1):
-        cases += 1
-        failures += one_plus_q * q_int(2 * i + 1, 2) != q_int(4 * i + 2)
-    duration = int((time.perf_counter() - start) * 1000)
-    return VerificationSummary("identity", cases, failures, duration)
+    failed = (
+        one_plus_q * q_int(2 * i + 1, 2) != q_int(4 * i + 2)
+        for i in range(1, max_i + 1)
+    )
+    return _tally("identity", failed)
 
 
 def eval_at_root(

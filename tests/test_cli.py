@@ -1,14 +1,17 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import qexpand
-from qexpand import cli
+from qexpand import cli, verify
+from qexpand.exactarith import ONE
 from qexpand.freealgebra import NCPolynomial
 from qexpand.ordering import SYSTEM_B
 from qexpand.verify import VerificationSummary, expand_formula
@@ -152,6 +155,27 @@ class TestVerifyVerb:
             "degenerations: 254/254 match",
             "identity: 20/20 match",
         ]
+
+    def test_all_suites_json_is_pinned(self, capsys):
+        # digest of the whole JSON output with every duration_ms set to 0
+        code, out, _ = run_cli(["verify", "--suite", "all", "--format", "json"], capsys)
+        assert code == 0
+        masked = re.sub(r'"duration_ms": \d+', '"duration_ms": 0', out)
+        assert hashlib.sha256(masked.encode()).hexdigest() == (
+            "5046a0c072e9dbadcbde04df4c103e913c06ca9419ddf510e96bbb4123a6368d"
+        )
+
+    def test_degenerations_failure_exits_one(self, capsys, monkeypatch):
+        original = verify.gaussian_binomial
+
+        def binomial(n, k, power=1):
+            value = original(n, k, power)
+            return value + ONE if (n, k, power) == (12, 5, 1) else value
+
+        monkeypatch.setattr(verify, "gaussian_binomial", binomial)
+        code, out, _ = run_cli(["verify", "--suite", "degenerations"], capsys)
+        assert code == 1
+        assert out == "degenerations: 253/254 match\n"
 
     def test_failures_flip_exit_status(self, capsys, monkeypatch):
         broken = VerificationSummary("phi", 3, 1, 0)

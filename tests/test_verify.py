@@ -1,15 +1,16 @@
 """Tests for the formula-versus-oracle verification layer."""
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction
+from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RF_ZERO, RationalFunction
 from qexpand.freealgebra import NCPolynomial
-from qexpand import ordering
+from qexpand import ordering, verify
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
@@ -20,6 +21,8 @@ from qexpand.ordering import (
 )
 from qexpand.qnumbers import phi_closed, q_int, theta_a
 from qexpand.verify import (
+    SPECS,
+    Mismatch,
     _indices,
     _oracle_pass,
     base_sum,
@@ -75,10 +78,12 @@ class TestExpandFormula:
             assert len(expand_formula(SYSTEM_A, n)) == count
 
     def test_rejects_degenerate_systems_and_bad_n(self):
-        with pytest.raises(ValueError):
-            expand_formula(SYSTEM_A_C0, 2)
-        for system in (SYSTEM_A_C0, SYSTEM_B_XI0):
-            with pytest.raises(ValueError, match="no closed-form family"):
+        # the degenerate systems' families are their Pascal references, up to
+        # the degenerations suite's default bounds; they have no recurrence
+        for system, bound in ((SYSTEM_A_C0, 12), (SYSTEM_B_XI0, 8)):
+            for n in range(1, bound + 1):
+                assert expand_formula(system, n) == expand_oracle(system, n)
+            with pytest.raises(ValueError, match="no recurrence"):
                 verify_recurrences(system, 3)
         with pytest.raises(ValueError):
             expand_formula(SYSTEM_A, 0)
@@ -254,6 +259,71 @@ class TestVerifyDegenerations:
         assert two.coefficient("ba") == rf((1, 1))
         three = expand_oracle(SYSTEM_A_C0, 3)
         assert three.coefficient("bba") == rf((1, 1, 1))
+
+
+class TestSuitesCanFail:
+    """One wrong value injected into each suite shows as exactly one failure."""
+
+    def test_lemma_reports_the_mismatched_word(self, monkeypatch):
+        spec = SPECS[SYSTEM_A]
+        right = theta_a(1, 1, 1)
+        wrong = right + RF_ONE
+
+        def family(*indices):
+            return wrong if indices == (1, 1, 1) else spec.family(*indices)
+
+        monkeypatch.setitem(SPECS, SYSTEM_A, dataclasses.replace(spec, family=family))
+        reports = verify_expansions(SYSTEM_A, 6)
+        assert [r.n for r in reports if not r.match] == [4]
+        assert reports[3].mismatches == (Mismatch("bca", wrong, right),)
+        assert reports[3].to_json()["mismatches"] == [
+            {"word": "bca", "formula": wrong.to_json(), "oracle": right.to_json()}
+        ]
+
+    def test_degenerations_count_one_wrong_binomial(self, monkeypatch):
+        original = verify.gaussian_binomial
+
+        def binomial(n, k, power=1):
+            value = original(n, k, power)
+            return value + ONE if (n, k, power) == (6, 2, 1) else value
+
+        monkeypatch.setattr(verify, "gaussian_binomial", binomial)
+        summary = verify_degenerations(6, 5)
+        assert (summary.cases, summary.failures) == (82, 1)
+
+    def test_phi_counts_one_wrong_beta(self, monkeypatch):
+        original = verify.phi_recursive
+
+        def recursive(beta):
+            return original(beta) + (RF_ONE if beta == 7 else RF_ZERO)
+
+        monkeypatch.setattr(verify, "phi_recursive", recursive)
+        summary = verify_phi(10)
+        assert (summary.cases, summary.failures) == (11, 1)
+
+    def test_recurrences_count_one_wrong_value(self, monkeypatch):
+        spec = SPECS[SYSTEM_B]
+
+        def recurrence(*indices):
+            value = spec.recurrence(*indices)
+            return value + RF_ONE if indices == (1, 1, 1) else value
+
+        monkeypatch.setitem(
+            SPECS, SYSTEM_B, dataclasses.replace(spec, recurrence=recurrence)
+        )
+        summary = verify_recurrences(SYSTEM_B, 4)
+        assert (summary.cases, summary.failures) == (37, 1)
+
+    def test_identity_counts_one_wrong_side(self, monkeypatch):
+        original = verify.q_int
+
+        def q_int_wrong(n, power=1):
+            value = original(n, power)
+            return value + ONE if (n, power) == (10, 1) else value
+
+        monkeypatch.setattr(verify, "q_int", q_int_wrong)
+        summary = verify_identity_4i2(5)
+        assert (summary.cases, summary.failures) == (5, 1)
 
 
 class TestVerifyIdentity:
