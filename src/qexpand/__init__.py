@@ -25,9 +25,11 @@ from .ordering import (
     normalize,
 )
 from .qnumbers import (
+    gaussian_binomial,
     phi_closed,
     phi_recursive,
     psi,
+    q2_multinomial,
     q_factorial,
     q_int,
     theta_a,
@@ -41,8 +43,6 @@ from .verify import (
     eval_at_root,
     expand_formula,
     expand_oracle,
-    gaussian_binomial,
-    q2_multinomial,
     verify_degenerations,
     verify_expansions,
     verify_identity_4i2,

@@ -136,10 +136,7 @@ class NCPolynomial:
     def __sub__(self, other: NCPolynomial) -> NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            _accumulate(out, word, -coeff)
-        return NCPolynomial._from_reduced(out)
+        return self + -other
 
     def __neg__(self) -> NCPolynomial:
         return NCPolynomial._from_reduced({w: -c for w, c in self._terms.items()})

@@ -9,9 +9,10 @@ polynomial sums and products only, so no gcd or exact division runs.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
-from .exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction
+from .exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZERO
 
 _ONE_MINUS_Q = IntPolynomial((1, -1))
 
@@ -44,14 +45,41 @@ def q_factorial(n: int, power: int = 1) -> IntPolynomial:
     return q_int(n, power) * q_factorial(n - 1, power)
 
 
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
-    """[n, k] for 0 <= k <= n in base q**power, by the Pascal rule
-    [n, k] = q^(power*(n-k)) [n-1, k-1] + [n-1, k]: shifts and adds only."""
-    if k == 0 or k == n:
-        return ONE
-    shifted = IntPolynomial.monomial(power * (n - k)) * _q_binomial(n - 1, k - 1, power)
-    return shifted + _q_binomial(n - 1, k, power)
+_PASCAL: dict[int, list[list[IntPolynomial]]] = {}  # power -> columns, see below
+_PASCAL_LOCK = threading.Lock()
+
+
+def gaussian_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
+    """The q-binomial [n, k] in base q**power; 0 unless 0 <= k <= n.
+
+    Column i of the table _PASCAL[power] lists [i + j, j] for j = 0, 1, ....
+    A miss extends columns 0, ..., n - k to row k, in order, by the Pascal
+    rule [i+j, j] = q^(power*i) [i+j-1, j-1] + [i+j-1, j], so no call recurses.
+    """
+    if k < 0 or k > n:
+        return ZERO
+    columns = _PASCAL.setdefault(power, [])
+    i = n - k
+    if i < len(columns) and k < len(columns[i]):
+        return columns[i][k]
+    with _PASCAL_LOCK:
+        columns.extend([ONE] for _ in range(len(columns), i + 1))
+        left = [ZERO] * (k + 1)  # column -1 of the rule: [j - 1, j] = 0
+        for c, column in enumerate(columns[: i + 1]):
+            if len(column) <= k:
+                shift = IntPolynomial.monomial(power * c)
+                for j in range(len(column), k + 1):
+                    column.append(shift * column[j - 1] + left[j])
+            left = column
+        return left[k]
+
+
+def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
+    """The base-q^2 multinomial [n, alpha]' [n-alpha, beta]', n = alpha+beta+gamma."""
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError("indices must be >= 0")
+    n = alpha + beta + gamma
+    return gaussian_binomial(n, alpha, 2) * gaussian_binomial(n - alpha, beta, 2)
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +107,7 @@ def theta_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
     if min(alpha, beta, gamma) < 0:
         raise ValueError("indices must be >= 0")
     n = alpha + 2 * beta + gamma
-    multinomial = _q_binomial(n, alpha) * _q_binomial(n - alpha, 2 * beta)
+    multinomial = gaussian_binomial(n, alpha) * gaussian_binomial(n - alpha, 2 * beta)
     return RationalFunction(multinomial * _odd_product(beta))
 
 
@@ -89,13 +117,9 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
 
     Equal to [n]'! phi_beta / ([alpha]'! [beta]'! [gamma]'!) where [.]' is
     the base-q^2 analog and n = alpha + beta + gamma, built as
-    [n, alpha]' [n-alpha, beta]' phi_beta.
+    q2_multinomial(alpha, beta, gamma) * phi_beta.
     """
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("indices must be >= 0")
-    n = alpha + beta + gamma
-    multinomial = _q_binomial(n, alpha, 2) * _q_binomial(n - alpha, beta, 2)
-    return RationalFunction(multinomial) * phi_closed(beta)
+    return RationalFunction(q2_multinomial(alpha, beta, gamma)) * phi_closed(beta)
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +155,11 @@ def psi(i: int) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def phi_closed(beta: int) -> RationalFunction:
-    """phi_beta in closed form: (1-q)^(-i) psi(i) for beta = 2i, and
-    [2i+1] * phi_(2i) for beta = 2i+1; phi_0 = phi_1 = 1."""
+    """phi_beta in closed form: psi(i) / (1-q)^i for beta = 2i, and
+    [2i+1] psi(i) / (1-q)^i for beta = 2i+1; phi_0 = phi_1 = 1."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if beta <= 1:
         return RF_ONE
-    if beta % 2 == 0:
-        return psi(beta // 2) / RationalFunction(_ONE_MINUS_Q ** (beta // 2))
-    return RationalFunction(q_int(beta)) * phi_closed(beta - 1)
+    odd = q_int(beta) if beta % 2 else ONE
+    return RationalFunction(odd * psi(beta // 2).num, _ONE_MINUS_Q ** (beta // 2))

@@ -5,8 +5,8 @@ families; :func:`expand_oracle` multiplies out the corresponding sum of
 generators and normal-orders after every step.  The ``verify_*`` entry
 points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
-limits, whose families are independent Pascal references, and a numeric
-specialization at complex points on the unit circle.
+limits, whose families are the q-binomials of :mod:`qexpand.qnumbers`, and
+a numeric specialization at complex points on the unit circle.
 
 Verification failures are data (counted and reported), never exceptions.
 """
@@ -16,18 +16,10 @@ from __future__ import annotations
 import cmath
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .exactarith import (
-    IntPolynomial,
-    ONE,
-    RF_ONE,
-    RF_ZERO,
-    RationalFunction,
-    ZERO,
-)
+from .exactarith import IntPolynomial, RF_ONE, RF_ZERO, RationalFunction
 from .freealgebra import NCPolynomial, word_sort_key
 from .ordering import (
     SYSTEM_A,
@@ -37,7 +29,16 @@ from .ordering import (
     RelationSystem,
     _normalize,
 )
-from .qnumbers import phi_closed, phi_recursive, q_int, theta_a, theta_b, xi
+from .qnumbers import (
+    gaussian_binomial,
+    phi_closed,
+    phi_recursive,
+    q2_multinomial,
+    q_int,
+    theta_a,
+    theta_b,
+    xi,
+)
 
 
 @dataclass(frozen=True)
@@ -286,27 +287,6 @@ def verify_phi(max_beta: int) -> VerificationSummary:
     )
 
 
-@lru_cache(maxsize=None)
-def gaussian_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
-    """The q-binomial coefficient in base q**power via the Pascal recursion."""
-    if k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    return gaussian_binomial(n - 1, k - 1, power) + IntPolynomial.monomial(
-        power * k
-    ) * gaussian_binomial(n - 1, k, power)
-
-
-def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
-    """The three-part multinomial coefficient in base q^2, built from nested
-    Gaussian binomials so it stays independent of the theta families."""
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("indices must be >= 0")
-    n = alpha + beta + gamma
-    return gaussian_binomial(n, alpha, 2) * gaussian_binomial(n - alpha, beta, 2)
-
-
 def verify_degenerations(
     binomial_bound: int = 12, multinomial_bound: int = 8
 ) -> VerificationSummary:
@@ -316,7 +296,7 @@ def verify_degenerations(
     System A with the shortening rule removed must reproduce Gaussian
     binomials; system B with the squaring rule removed must reproduce
     base-q^2 multinomials.  Both references are their systems' families,
-    built by recursions that never touch the theta code paths.
+    read from the Pascal table of :mod:`qexpand.qnumbers`.
     """
     if binomial_bound < 1 or multinomial_bound < 1:
         raise ValueError("bounds must be >= 1")

@@ -54,6 +54,22 @@ class TestScalarVerbs:
         )
         assert out.strip() == "1+q"
 
+    @pytest.mark.parametrize(
+        "system, alpha, beta, gamma, n, power",
+        [
+            ("A", 1100, 0, 1, 1101, 1),
+            ("A", 1, 0, 1100, 1101, 1),
+            ("B", 1000, 1, 0, 1001, 2),
+        ],
+    )
+    def test_skewed_coeff_past_the_recursion_limit(
+        self, capsys, system, alpha, beta, gamma, n, power
+    ):
+        # each coefficient is the q-integer [n] in base q**power
+        argv = ["coeff", "--system", system, "--alpha", str(alpha),
+                "--beta", str(beta), "--gamma", str(gamma)]
+        assert run_cli(argv, capsys) == (0, f"{qexpand.q_int(n, power)}\n", "")
+
     def test_coeff_json_round_trip(self, capsys):
         _, out, _ = run_cli(
             [

@@ -66,6 +66,19 @@ class TestNCPolynomial:
         assert p.coefficient("c") == rf((2,))
         assert p.coefficient("a") == RF_ONE
 
+    def test_sub_self_is_zero(self):
+        p = NCPolynomial({"ba": Q1, "c": rf((2,))})
+        assert p - p == NCPolynomial.zero()
+        assert len(p - p) == 0
+
+    def test_sub_merges_a_partial_cancel(self):
+        p = NCPolynomial({"a": RF_ONE, "c": rf((3,))}) - NCPolynomial({"c": RF_ONE})
+        assert p == NCPolynomial({"a": RF_ONE, "c": rf((2,))})
+
+    def test_sub_rejects_foreign_types(self):
+        with pytest.raises(TypeError):
+            NCPolynomial.from_word("a") - 1
+
     def test_mul_concatenates(self):
         p = NCPolynomial.from_word("a") * NCPolynomial.from_word("b")
         assert p == NCPolynomial.from_word("ab")

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,17 +12,18 @@ from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZER
 from qexpand.ordering import SYSTEM_A, SYSTEM_B
 from qexpand.qnumbers import (
     _odd_product,
-    _q_binomial,
+    gaussian_binomial,
     phi_closed,
     phi_recursive,
     psi,
+    q2_multinomial,
     q_factorial,
     q_int,
     theta_a,
     theta_b,
     xi,
 )
-from qexpand.verify import expand_formula, gaussian_binomial, q2_multinomial
+from qexpand.verify import expand_formula
 
 P = IntPolynomial
 
@@ -79,18 +82,29 @@ class TestQBinomial:
     def test_counts_subsets_at_one(self, power):
         for n in range(21):
             for k in range(n + 1):
-                assert _q_binomial(n, k, power)(1) == math.comb(n, k)
+                assert gaussian_binomial(n, k, power)(1) == math.comb(n, k)
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_symmetric(self, power):
         for n in range(21):
             for k in range(n + 1):
-                assert _q_binomial(n, k, power) == _q_binomial(n, n - k, power)
+                assert gaussian_binomial(n, k, power) == gaussian_binomial(
+                    n, n - k, power
+                )
 
     def test_small_values(self):
-        assert _q_binomial(2, 1) == P((1, 1))
-        assert _q_binomial(4, 2) == P((1, 1, 2, 1, 1))
-        assert _q_binomial(3, 1, 2) == P((1, 0, 1, 0, 1))
+        assert gaussian_binomial(2, 1) == P((1, 1))
+        assert gaussian_binomial(3, 2) == P((1, 1, 1))
+        assert gaussian_binomial(4, 2) == P((1, 1, 2, 1, 1))
+        assert gaussian_binomial(3, 1, 2) == P((1, 0, 1, 0, 1))
+        assert gaussian_binomial(3, 0) == ONE
+        assert gaussian_binomial(0, 0) == ONE
+
+    def test_zero_out_of_range(self):
+        for power in (1, 2):
+            assert gaussian_binomial(3, 5, power) == ZERO
+            assert gaussian_binomial(3, -1, power) == ZERO
+            assert gaussian_binomial(-1, 0, power) == ZERO
 
 
 class TestXi:
@@ -148,10 +162,13 @@ class TestThetaA:
                     assert theta_a(alpha, beta, gamma) == rhs
 
     def test_beta_zero_is_gaussian_binomial(self):
+        # theta_a is built from gaussian_binomial, so compare with the quotient
         for alpha in range(13):
             for gamma in range(13 - alpha):
-                expected = RationalFunction(gaussian_binomial(alpha + gamma, alpha))
-                assert theta_a(alpha, 0, gamma) == expected
+                quotient = RationalFunction(
+                    q_factorial(alpha + gamma), q_factorial(alpha) * q_factorial(gamma)
+                )
+                assert theta_a(alpha, 0, gamma) == quotient
 
     def test_polynomiality_observation(self):
         # a q-multinomial times an odd product: a polynomial by construction
@@ -243,6 +260,13 @@ class TestThetaB:
                     )
                     assert theta_b(alpha, beta, gamma) == rhs
 
+    def test_rejects_negative_indices(self):
+        for indices in ((-1, 0, 1), (0, -1, 1), (1, 0, -1)):
+            with pytest.raises(ValueError, match="indices must be >= 0"):
+                theta_b(*indices)
+            with pytest.raises(ValueError, match="indices must be >= 0"):
+                q2_multinomial(*indices)
+
     def test_xi_zero_variant_is_q2_multinomial(self):
         # theta_b with the phi factor forced to 1
         for alpha in range(9):
@@ -323,14 +347,16 @@ class TestQuotientDefinitions:
 
 @pytest.fixture
 def cold_qnumbers_caches():
-    """Empty every lru_cache table of qnumbers before and after the test, so
-    the test computes each value afresh and leaves none behind."""
+    """Empty every table of qnumbers, the lru_cache tables and the Pascal
+    table, before and after the test, so the test computes each value
+    afresh and leaves none behind."""
     tables = [f for f in vars(qnumbers).values() if hasattr(f, "cache_clear")]
-    for table in tables:
-        table.cache_clear()
+    clears = [table.cache_clear for table in tables] + [qnumbers._PASCAL.clear]
+    for clear in clears:
+        clear()
     yield
-    for table in tables:
-        table.cache_clear()
+    for clear in clears:
+        clear()
 
 
 def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
@@ -343,3 +369,46 @@ def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
     expand_formula(SYSTEM_B, 12)
     for beta in range(31):
         phi_closed(beta)
+
+
+@pytest.mark.parametrize("n, k, power", [(1500, 1, 1), (1500, 1499, 2)])
+def test_gaussian_binomial_past_the_recursion_limit(cold_qnumbers_caches, n, k, power):
+    # [n, 1] = [n, n-1] = [n]; the table is filled bottom-up, so no call recurses
+    assert gaussian_binomial(n, k, power) == q_int(n, power)
+
+
+def test_gaussian_binomial_hits_build_nothing(monkeypatch, cold_qnumbers_caches):
+    first = gaussian_binomial(12, 5, 2)
+
+    def no_monomial(*args):
+        raise AssertionError("a table hit built a monomial")
+
+    monkeypatch.setattr(IntPolynomial, "monomial", no_monomial)
+    assert gaussian_binomial(12, 5, 2) is first
+    assert gaussian_binomial(10, 4, 2)(1) == math.comb(10, 4)  # filled on the way
+
+
+def test_pascal_table_is_thread_safe(cold_qnumbers_caches):
+    cases = [(n, k, p) for p in (1, 2) for n in range(26) for k in range(n + 1)]
+    expected = [gaussian_binomial(*case) for case in cases]
+    qnumbers._PASCAL.clear()
+    results = {}
+
+    def work(seed):
+        order = list(range(len(cases)))
+        random.Random(seed).shuffle(order)
+        results[seed] = {i: gaussian_binomial(*cases[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(8):
+        assert [results[seed][i] for i in range(len(cases))] == expected

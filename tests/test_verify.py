@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+import qexpand
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RF_ZERO, RationalFunction
 from qexpand.freealgebra import NCPolynomial
-from qexpand import ordering, verify
+from qexpand import ordering, qnumbers, verify
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
@@ -242,6 +243,11 @@ class TestOracles:
         for n in range(9):
             for k in range(n + 1):
                 assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
+
+    def test_one_q_binomial_for_the_package(self):
+        for name in ("gaussian_binomial", "q2_multinomial"):
+            assert getattr(verify, name) is getattr(qnumbers, name)
+            assert getattr(qexpand, name) is getattr(qnumbers, name)
 
     def test_q2_multinomial_values(self):
         assert q2_multinomial(1, 1, 0) == P((1, 0, 1))
