@@ -127,11 +127,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_poly(poly, fmt: str) -> None:
+def _print_value(value, fmt: str) -> None:
+    print(json.dumps(value.to_json()) if fmt == "json" else str(value))
+
+
+def _print_poly(poly: NCPolynomial, fmt: str) -> None:
+    """Print a polynomial as _print_value would, one term at a time, so the
+    whole text is never held in memory."""
     if fmt == "json":
-        print(json.dumps(poly.to_json()))
+        start, sep, end, parts = "[", ", ", "]", map(json.dumps, poly.json_terms())
     else:
-        print(str(poly))
+        start, sep, end, parts = "", " + ", "", poly.str_parts()
+    write = sys.stdout.write
+    write(start)
+    for i, part in enumerate(parts):
+        if i:
+            write(sep)
+        write(part)
+    write(end + "\n")
 
 
 def _fmt_complex(value: complex) -> str:
@@ -189,15 +202,15 @@ def _run_verify(args) -> int:
 
 def run(args: argparse.Namespace) -> int:
     if args.verb == "qint":
-        _print_poly(q_int(args.n, args.base), args.format)
+        _print_value(q_int(args.n, args.base), args.format)
     elif args.verb == "qfact":
-        _print_poly(q_factorial(args.n, args.base), args.format)
+        _print_value(q_factorial(args.n, args.base), args.format)
     elif args.verb == "coeff":
         theta = SPECS[CLOSED_FORM[args.system]].family
-        _print_poly(theta(args.alpha, args.beta, args.gamma), args.format)
+        _print_value(theta(args.alpha, args.beta, args.gamma), args.format)
     elif args.verb == "phi":
         route = phi_closed if args.route == "closed" else phi_recursive
-        _print_poly(route(args.beta), args.format)
+        _print_value(route(args.beta), args.format)
     elif args.verb == "expand":
         _print_poly(expand_formula(CLOSED_FORM[args.system], args.n), args.format)
     elif args.verb == "normalize":

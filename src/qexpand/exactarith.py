@@ -45,7 +45,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
-from operator import add, index, neg
+from operator import add, index, neg, sub
 from typing import Sequence
 
 # Length of the shorter operand from which Kronecker substitution is used.
@@ -279,6 +279,50 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             for i in range(0, n * width, width)
         ]
     )
+
+
+def q_ratio(cs: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Coefficients of cs (1 - q^a) / (1 - q^b), for coefficients cs with no
+    trailing zero, a >= 0 and b >= 1; ValueError unless the quotient is a
+    polynomial.
+
+    The product is the shifted difference d_i = c_i - c_(i-a), and the
+    quotient the running sums out_i = d_i + out_(i-b) along each residue
+    class mod b: O(len(cs) + a + b) additions, with no division and no
+    multiplication.  The top b sums are the remainder.
+    """
+    if b < 1:
+        raise ZeroDivisionError("division by 1 - q^0")
+    if a == b or not cs:
+        return cs
+    if a == 0:
+        return ()
+    pad = (0,) * a
+    diffs = map(sub, cs + pad, pad + cs)
+    if b == 1:
+        # one lazy pass frees each difference as soon as it is summed
+        out = list(accumulate(diffs))
+    else:
+        out = list(diffs)
+        for r in range(b):
+            out[r::b] = accumulate(out[r::b])
+    size = len(out) - b
+    if size <= 0 or any(out[size:]):
+        raise ValueError(f"1 - q^{b} does not divide the product")
+    del out[size:]
+    return tuple(out)
+
+
+def times_q_int(cs: tuple[int, ...], m: int, s: int = 1) -> tuple[int, ...]:
+    """Coefficients of cs [m] in base q^s, [m] = (1 - q^(ms)) / (1 - q^s):
+    the windowed prefix sum out_i = out_(i-s) + c_i - c_(i-ms)."""
+    return q_ratio(cs, m * s, s)
+
+
+def div_q_int(cs: tuple[int, ...], m: int, s: int = 1) -> tuple[int, ...]:
+    """Coefficients of cs / [m] in base q^s: the product r = cs (1 - q^s),
+    then c_i = r_i + c_(i-ms).  ValueError unless [m] divides cs exactly."""
+    return q_ratio(cs, s, m * s)
 
 
 ZERO = IntPolynomial()

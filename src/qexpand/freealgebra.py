@@ -164,9 +164,14 @@ class NCPolynomial:
             return self.scale(other)
         return NotImplemented
 
+    def json_terms(self) -> Iterator[dict]:
+        """The items of to_json(), one at a time."""
+        for w, c in self.terms():
+            yield {"word": w, "coeff": c.to_json()}
+
     def to_json(self) -> list[dict]:
         """Terms in canonical order; the empty word serializes as ''."""
-        return [{"word": w, "coeff": c.to_json()} for w, c in self.terms()]
+        return list(self.json_terms())
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> NCPolynomial:
@@ -174,18 +179,20 @@ class NCPolynomial:
             (item["word"], RationalFunction.from_json(item["coeff"])) for item in data
         )
 
-    def __str__(self) -> str:
+    def str_parts(self) -> Iterator[str]:
+        """The pieces of str(self), one per term, to be joined by ' + '."""
         if not self._terms:
-            return "0"
-        parts = []
+            yield "0"
         for word, coeff in self.terms():
             if coeff == RF_ONE:
-                parts.append(format_word(word))
+                yield format_word(word)
             elif word:
-                parts.append(f"({coeff})·{format_word(word)}")
+                yield f"({coeff})·{format_word(word)}"
             else:
-                parts.append(f"({coeff})")
-        return " + ".join(parts)
+                yield f"({coeff})"
+
+    def __str__(self) -> str:
+        return " + ".join(self.str_parts())
 
     def __repr__(self) -> str:
         return f"NCPolynomial({str(self)!r})"

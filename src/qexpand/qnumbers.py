@@ -1,18 +1,31 @@
 """The named q-analog scalar families used by the expansion coefficients.
 
 Everything here is a pure function of small integer indices returning
-canonical values from :mod:`qexpand.exactarith`.  Results are memoized
-because the same indices recur constantly during verification; the caches
-are an observationally pure detail.  The closed forms are built from
-polynomial sums and products only, so no gcd or exact division runs.
+canonical values from :mod:`qexpand.exactarith`.  Every family is a chain
+of q-integer steps: a product or quotient of q-integers is built one
+factor at a time by :func:`~qexpand.exactarith.q_ratio`, O(degree)
+additions per factor, with no polynomial product, gcd or general division.
+Each quotient in a chain is exact, because every partial product is itself
+a polynomial, so no step can fail on correct indices.  No family recurses
+on its index.  Results are memoized because the same indices recur
+constantly during verification; the caches are an observationally pure
+detail.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
-from .exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZERO
+from .exactarith import (
+    IntPolynomial,
+    ONE,
+    RF_ONE,
+    RationalFunction,
+    ZERO,
+    _q_minus_one_power,
+    q_ratio,
+    times_q_int,
+)
 
 _ONE_MINUS_Q = IntPolynomial((1, -1))
 
@@ -20,6 +33,12 @@ _ONE_MINUS_Q = IntPolynomial((1, -1))
 def _check_base(power: int) -> None:
     if power not in (1, 2):
         raise ValueError("base power must be 1 or 2")
+
+
+def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
+    """The value cs / (1-q)^k, for coefficients cs with no trailing zero."""
+    num = IntPolynomial._raw(cs)
+    return RationalFunction(-num if k % 2 else num, _q_minus_one_power(k))
 
 
 @lru_cache(maxsize=None)
@@ -40,54 +59,49 @@ def q_factorial(n: int, power: int = 1) -> IntPolynomial:
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_base(power)
-    if n == 0:
-        return ONE
-    return q_int(n, power) * q_factorial(n - 1, power)
+    cs = ONE.coeffs
+    for m in range(2, n + 1):
+        cs = times_q_int(cs, m, power)
+    return IntPolynomial._raw(cs)
 
 
-_PASCAL: dict[int, list[list[IntPolynomial]]] = {}  # power -> columns, see below
-_PASCAL_LOCK = threading.Lock()
+def _times_multinomial(
+    cs: tuple[int, ...], alpha: int, beta: int, gamma: int, power: int = 1
+) -> tuple[int, ...]:
+    """Coefficients of cs [n; alpha, beta, gamma] in base q**power, with
+    n = alpha + beta + gamma: cs [beta + gamma, beta] [n, alpha].
+
+    Each binomial [n, k] is min(k, n-k) steps of the ratio [n-k+j]/[j], so
+    after step j the running value is cs [n-k+j, j], a polynomial.
+    """
+    for n, k in ((beta + gamma, beta), (alpha + beta + gamma, alpha)):
+        k = min(k, n - k)
+        for j in range(1, k + 1):
+            cs = q_ratio(cs, (n - k + j) * power, j * power)
+    return cs
 
 
 def gaussian_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
-    """The q-binomial [n, k] in base q**power; 0 unless 0 <= k <= n.
-
-    Column i of the table _PASCAL[power] lists [i + j, j] for j = 0, 1, ....
-    A miss extends columns 0, ..., n - k to row k, in order, by the Pascal
-    rule [i+j, j] = q^(power*i) [i+j-1, j-1] + [i+j-1, j], so no call recurses.
-    """
+    """The q-binomial [n, k] in base q**power; 0 unless 0 <= k <= n."""
     if k < 0 or k > n:
         return ZERO
-    columns = _PASCAL.setdefault(power, [])
-    i = n - k
-    if i < len(columns) and k < len(columns[i]):
-        return columns[i][k]
-    with _PASCAL_LOCK:
-        columns.extend([ONE] for _ in range(len(columns), i + 1))
-        left = [ZERO] * (k + 1)  # column -1 of the rule: [j - 1, j] = 0
-        for c, column in enumerate(columns[: i + 1]):
-            if len(column) <= k:
-                shift = IntPolynomial.monomial(power * c)
-                for j in range(len(column), k + 1):
-                    column.append(shift * column[j - 1] + left[j])
-            left = column
-        return left[k]
+    return IntPolynomial._raw(_times_multinomial(ONE.coeffs, k, n - k, 0, power))
 
 
 def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
     """The base-q^2 multinomial [n, alpha]' [n-alpha, beta]', n = alpha+beta+gamma."""
     if min(alpha, beta, gamma) < 0:
         raise ValueError("indices must be >= 0")
-    n = alpha + beta + gamma
-    return gaussian_binomial(n, alpha, 2) * gaussian_binomial(n - alpha, beta, 2)
+    return IntPolynomial._raw(_times_multinomial(ONE.coeffs, alpha, beta, gamma, 2))
 
 
 @lru_cache(maxsize=None)
 def _odd_product(beta: int) -> IntPolynomial:
     """The product [1][3]...[2*beta-1] of odd q-integers; 1 for beta = 0."""
-    if beta == 0:
-        return ONE
-    return _odd_product(beta - 1) * q_int(2 * beta - 1)
+    cs = ONE.coeffs
+    for i in range(2, beta + 1):
+        cs = times_q_int(cs, 2 * i - 1)
+    return IntPolynomial._raw(cs)
 
 
 @lru_cache(maxsize=None)
@@ -101,14 +115,15 @@ def theta_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
     """Coefficient of b^alpha c^beta a^gamma in the system-A expansion.
 
     Equal to [n]! / ([alpha]! [gamma]! [2][4]...[2*beta]) with
-    n = alpha + 2*beta + gamma, built as the polynomial product
-    [n, alpha] [n-alpha, 2*beta] [1][3]...[2*beta-1].
+    n = alpha + 2*beta + gamma, built as the multinomial [n; alpha, 2*beta,
+    gamma] times the odd product [1][3]...[2*beta-1].
     """
     if min(alpha, beta, gamma) < 0:
         raise ValueError("indices must be >= 0")
-    n = alpha + 2 * beta + gamma
-    multinomial = gaussian_binomial(n, alpha) * gaussian_binomial(n - alpha, 2 * beta)
-    return RationalFunction(multinomial * _odd_product(beta))
+    odd = _odd_product(beta).coeffs
+    return RationalFunction(
+        IntPolynomial._raw(_times_multinomial(odd, alpha, 2 * beta, gamma))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -116,41 +131,58 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     """Coefficient of c^alpha b^beta a^gamma in the system-B expansion.
 
     Equal to [n]'! phi_beta / ([alpha]'! [beta]'! [gamma]'!) where [.]' is
-    the base-q^2 analog and n = alpha + beta + gamma, built as
-    q2_multinomial(alpha, beta, gamma) * phi_beta.
+    the base-q^2 analog and n = alpha + beta + gamma: the numerator of
+    phi_beta times the base-q^2 multinomial, over phi_beta's denominator.
     """
-    return RationalFunction(q2_multinomial(alpha, beta, gamma)) * phi_closed(beta)
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError("indices must be >= 0")
+    phi = phi_closed(beta)
+    num = _times_multinomial(phi.num.coeffs, alpha, beta, gamma, 2)
+    return RationalFunction(IntPolynomial._raw(num), phi.den)
 
 
-@lru_cache(maxsize=None)
+# (b, N_(b-1), N_b) for the last index phi_recursive reached; a call at a
+# larger index runs on from there, so calls in increasing beta cost one step
+# each.  The tuple is replaced whole, so a reader never sees a torn state.
+_phi_last = (1, ONE, ONE)
+
+
 def phi_recursive(beta: int) -> RationalFunction:
     """phi_beta from the three-term recursion.
 
     phi_0 = phi_1 = 1 and phi_b = phi_(b-1) + xi * [b-1]' * phi_(b-2)
-    with [.]' the base-q^2 q-integer.  Kept as an independent route so the
-    closed form can be cross-checked against it.
+    with [.]' the base-q^2 q-integer.  The loop runs it on the numerators
+    N_b = phi_b (1-q)^(b//2), which satisfy N_0 = N_1 = 1 and
+    N_b = N_(b-1) (1-q)^[b even] + (q+q^2) [b-1]' N_(b-2).  Kept as an
+    independent route so the closed form can be cross-checked against it.
     """
+    global _phi_last
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if beta <= 1:
-        return RF_ONE
-    return phi_recursive(beta - 1) + xi() * RationalFunction(
-        q_int(beta - 1, 2)
-    ) * phi_recursive(beta - 2)
+    b, older, old = _phi_last if _phi_last[0] <= beta else (1, ONE, ONE)
+    while b < beta:
+        b += 1
+        head = old - IntPolynomial._raw((0,) + old.coeffs) if b % 2 == 0 else old
+        # (q + q^2) [b-1]' = q [2b-2]: one q-integer step and a shift
+        step = IntPolynomial._raw((0,) + times_q_int(older.coeffs, 2 * b - 2))
+        older, old = old, head + step
+    _phi_last = (b, older, old)
+    return over_one_minus_q(old.coeffs, beta // 2)
 
 
 @lru_cache(maxsize=None)
 def psi(i: int) -> RationalFunction:
     """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]).
 
-    Each quotient [4k]/[2k] is 1 + q^(2k), so psi(i) is the polynomial
-    product psi(i-1) [2i-1] (1 + q^(2i)): O(n) products over i = 1..n.
+    Each quotient [4k]/[2k] is 1 + q^(2k), the q-integer [2] in base
+    q^(2k), so psi(i) is a loop of 2i q-integer steps.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    prev = psi(i - 1).num if i > 1 else ONE
-    factor = ONE + IntPolynomial.monomial(2 * i)
-    return RationalFunction(prev * q_int(2 * i - 1) * factor)
+    cs = ONE.coeffs
+    for k in range(1, i + 1):
+        cs = times_q_int(times_q_int(cs, 2 * k - 1), 2, 2 * k)
+    return RationalFunction(IntPolynomial._raw(cs))
 
 
 @lru_cache(maxsize=None)
@@ -161,5 +193,7 @@ def phi_closed(beta: int) -> RationalFunction:
         raise ValueError("beta must be >= 0")
     if beta <= 1:
         return RF_ONE
-    odd = q_int(beta) if beta % 2 else ONE
-    return RationalFunction(odd * psi(beta // 2).num, _ONE_MINUS_Q ** (beta // 2))
+    cs = psi(beta // 2).num.coeffs
+    if beta % 2:
+        cs = times_q_int(cs, beta)
+    return over_one_minus_q(cs, beta // 2)

@@ -5,10 +5,19 @@ families; :func:`expand_oracle` multiplies out the corresponding sum of
 generators and normal-orders after every step.  The ``verify_*`` entry
 points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
-limits, whose families are the q-binomials of :mod:`qexpand.qnumbers`, and
-a numeric specialization at complex points on the unit circle.
+limits, and a numeric specialization at complex points on the unit circle.
+
+The formula route walks each row of fixed beta: neighbouring coefficients
+differ by a ratio of q-integers, so each costs one O(degree) step of
+:func:`~qexpand.exactarith.q_ratio` from the last.  The degenerate limits
+are walks too: System A at c = 0 is the beta = 0 row of System A, whose
+coefficients are the q-binomials, and System B at xi = 0 is the walk of
+System B with phi = 1, whose coefficients are the base-q^2 multinomials.
 
 Verification failures are data (counted and reported), never exceptions.
+Every step of the walk is an exact division on correct code, so a step
+that leaves a remainder is a package defect, not a failure: it raises
+ValueError, and the command line exits 1 with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,14 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .exactarith import IntPolynomial, RF_ONE, RF_ZERO, RationalFunction
+from .exactarith import (
+    IntPolynomial,
+    RF_ONE,
+    RF_ZERO,
+    RationalFunction,
+    q_ratio,
+    times_q_int,
+)
 from .freealgebra import NCPolynomial, word_sort_key
 from .ordering import (
     SYSTEM_A,
@@ -31,6 +47,7 @@ from .ordering import (
 )
 from .qnumbers import (
     gaussian_binomial,
+    over_one_minus_q,
     phi_closed,
     phi_recursive,
     q2_multinomial,
@@ -135,23 +152,47 @@ def _multinomial_family(alpha: int, beta: int, gamma: int) -> RationalFunction:
     return RationalFunction(q2_multinomial(alpha, beta, gamma))
 
 
+def _head_a(cs: tuple[int, ...], k: int, beta: int, gamma: int):
+    """theta_A(0, beta, gamma-2) from theta_A(0, beta-1, gamma): the ratio
+    [gamma][gamma-1]/[2 beta]."""
+    return q_ratio(times_q_int(cs, gamma), gamma - 1, 2 * beta), k
+
+
+def _head_multinomial(cs: tuple[int, ...], k: int, beta: int, gamma: int):
+    """[n; 0, beta, gamma-1]' from [n; 0, beta-1, gamma]': [gamma]'/[beta]'."""
+    return q_ratio(cs, 2 * gamma, 2 * beta), k
+
+
+def _head_b(cs: tuple[int, ...], k: int, beta: int, gamma: int):
+    """The multinomial head step, then the numerator of phi_beta over that of
+    phi_(beta-1): [beta] for odd beta, or 1 + q^beta for even beta, whose
+    phi_beta also has one more factor 1/(1-q)."""
+    cs, k = _head_multinomial(cs, k, beta, gamma)
+    if beta % 2:
+        return times_q_int(cs, beta), k
+    return times_q_int(cs, 2, beta), k + 1
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """The expansion data of a built-in system: the degree of the middle
-    letter of its normal order, its coefficient family, and the family's
-    recurrence from lower indices.  The degenerate systems carry their
-    Pascal references as families, and have no recurrence."""
+    letter of its normal order, the base q^base of the row step
+    [gamma]/[alpha+1], the step from one row head to the next (None when
+    only row 0 is nonzero), the family that gives one coefficient by its
+    own closed form, and the family's recurrence from lower indices."""
 
     weight: int
+    base: int
+    head: Optional[Callable[..., tuple[tuple[int, ...], int]]]
     family: Callable[..., RationalFunction]
     recurrence: Optional[Callable[..., RationalFunction]] = None
 
 
 SPECS = {
-    SYSTEM_A: SystemSpec(2, theta_a, _recurrence_a),
-    SYSTEM_B: SystemSpec(1, theta_b, _recurrence_b),
-    SYSTEM_A_C0: SystemSpec(2, _binomial_family),
-    SYSTEM_B_XI0: SystemSpec(1, _multinomial_family),
+    SYSTEM_A: SystemSpec(2, 1, _head_a, theta_a, _recurrence_a),
+    SYSTEM_B: SystemSpec(1, 2, _head_b, theta_b, _recurrence_b),
+    SYSTEM_A_C0: SystemSpec(2, 1, None, _binomial_family),
+    SYSTEM_B_XI0: SystemSpec(1, 2, _head_multinomial, _multinomial_family),
 }
 
 
@@ -177,16 +218,32 @@ def base_sum(system: RelationSystem) -> NCPolynomial:
     return NCPolynomial({ch: RF_ONE for ch in first + middle + last})
 
 
-def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
-    """The degree-n expansion assembled directly from the coefficient family."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _walk(system: RelationSystem, n: int) -> Iterator[tuple[str, RationalFunction]]:
+    """Every term of the degree-n expansion, row by row in beta.  Each
+    coefficient is a numerator over (1-q)^k, one q-integer step from the
+    last (two or three at a row head)."""
     spec = _spec(system)
     first, middle, last = system.normal_order
-    return NCPolynomial(
-        (first * alpha + middle * beta + last * gamma, spec.family(alpha, beta, gamma))
-        for alpha, beta, gamma in _indices(spec.weight, n)
-    )
+    weight, p = spec.weight, spec.base
+    head, k = (1,), 0
+    for beta in range(n // weight + 1 if spec.head else 1):
+        top = n - weight * beta
+        if beta:
+            head, k = spec.head(head, k, beta, top + weight)
+        cs = head
+        for alpha in range(top + 1):
+            if alpha:
+                cs = q_ratio(cs, (top - alpha + 1) * p, alpha * p)
+            word = first * alpha + middle * beta + last * (top - alpha)
+            yield word, over_one_minus_q(cs, k)
+
+
+def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
+    """The degree-n expansion assembled directly from the coefficient family,
+    one row walk per power of the middle letter."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return NCPolynomial(_walk(system, n))
 
 
 def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[NCPolynomial]:
@@ -295,8 +352,8 @@ def verify_degenerations(
 
     System A with the shortening rule removed must reproduce Gaussian
     binomials; system B with the squaring rule removed must reproduce
-    base-q^2 multinomials.  Both references are their systems' families,
-    read from the Pascal table of :mod:`qexpand.qnumbers`.
+    base-q^2 multinomials.  Both references come from the row walk of
+    :func:`expand_formula`.
     """
     if binomial_bound < 1 or multinomial_bound < 1:
         raise ValueError("bounds must be >= 1")

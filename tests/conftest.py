@@ -2,7 +2,8 @@
 
 import pytest
 
-from qexpand.exactarith import RF_ZERO
+from qexpand import verify
+from qexpand.exactarith import RF_ONE, RF_ZERO
 from qexpand.freealgebra import NCPolynomial
 
 
@@ -36,3 +37,21 @@ def _reduce_randomly(p, system, rng):
 def reduce_randomly():
     """``reduce_randomly(p, system, rng)``: see :func:`_reduce_randomly`."""
     return _reduce_randomly
+
+
+@pytest.fixture
+def wrong_formula_term(monkeypatch):
+    """``wrong_formula_term(system, word)``: from then on, the formula route
+    of ``system`` gives the coefficient of ``word`` plus one.  It wraps the
+    row walk that builds every formula expansion, so each suite that compares
+    a formula expansion sees exactly that one wrong value."""
+    walk = verify._walk
+
+    def plant(system, word):
+        def wrong_walk(s, n):
+            for w, c in walk(s, n):
+                yield w, c + RF_ONE if (s, w) == (system, word) else c
+
+        monkeypatch.setattr(verify, "_walk", wrong_walk)
+
+    return plant

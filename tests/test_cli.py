@@ -10,10 +10,9 @@ import sys
 import pytest
 
 import qexpand
-from qexpand import cli, verify
-from qexpand.exactarith import ONE
+from qexpand import cli
 from qexpand.freealgebra import NCPolynomial
-from qexpand.ordering import SYSTEM_B
+from qexpand.ordering import SYSTEM_A, SYSTEM_A_C0, SYSTEM_B, SYSTEMS, normalize
 from qexpand.verify import VerificationSummary, expand_formula
 
 
@@ -118,6 +117,27 @@ class TestExpandAndNormalize:
         assert out.strip() == "(q)·b·a"
 
 
+class TestStreamedOutput:
+    """expand and normalize write term by term, with the bytes of the whole."""
+
+    @pytest.mark.parametrize("system", [SYSTEM_A, SYSTEM_B], ids=lambda s: s.name)
+    def test_expand_bytes(self, capsys, system):
+        for n in range(1, 9):
+            poly = expand_formula(system, n)
+            argv = ["expand", "--system", system.name, "--n", str(n)]
+            assert run_cli(argv, capsys)[1] == f"{poly}\n"
+            json_out = run_cli(argv + ["--format", "json"], capsys)[1]
+            assert json_out == json.dumps(poly.to_json()) + "\n"
+
+    def test_one_term_normalize_bytes(self, capsys):
+        poly = normalize(NCPolynomial.from_word("ca"), SYSTEMS["A"])
+        assert len(poly) == 1
+        argv = ["normalize", "--system", "A", "--word", "ca"]
+        assert run_cli(argv, capsys)[1] == f"{poly}\n"
+        json_out = run_cli(argv + ["--format", "json"], capsys)[1]
+        assert json_out == json.dumps(poly.to_json()) + "\n"
+
+
 class TestVerifyVerb:
     def test_lemma1_small(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "lemma1", "--max-n", "3"], capsys)
@@ -181,14 +201,9 @@ class TestVerifyVerb:
             "5046a0c072e9dbadcbde04df4c103e913c06ca9419ddf510e96bbb4123a6368d"
         )
 
-    def test_degenerations_failure_exits_one(self, capsys, monkeypatch):
-        original = verify.gaussian_binomial
-
-        def binomial(n, k, power=1):
-            value = original(n, k, power)
-            return value + ONE if (n, k, power) == (12, 5, 1) else value
-
-        monkeypatch.setattr(verify, "gaussian_binomial", binomial)
+    def test_degenerations_failure_exits_one(self, capsys, wrong_formula_term):
+        # the coefficient [12, 5] of b^5 a^7 in the c = 0 limit
+        wrong_formula_term(SYSTEM_A_C0, "b" * 5 + "a" * 7)
         code, out, _ = run_cli(["verify", "--suite", "degenerations"], capsys)
         assert code == 1
         assert out == "degenerations: 253/254 match\n"

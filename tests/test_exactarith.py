@@ -18,8 +18,12 @@ from qexpand.exactarith import (
     RF_ZERO,
     RationalFunction,
     ZERO,
+    div_q_int,
     poly_gcd,
+    times_q_int,
 )
+from qexpand import exactarith
+from qexpand.qnumbers import q_int
 
 P = IntPolynomial
 
@@ -116,6 +120,40 @@ class TestIntPolynomial:
     @given(nonzero_polys, nonzero_polys)
     def test_product_degree_adds(self, x, y):
         assert (x * y).degree == x.degree + y.degree
+
+
+bases = st.sampled_from([1, 2])
+
+
+class TestQIntegerSteps:
+    """Times and divide by [m] in base q^s, against multiplication by [m]."""
+
+    @given(polys, st.integers(0, 12), bases)
+    def test_times_is_the_product(self, c, m, s):
+        assert times_q_int(c.coeffs, m, s) == (c * q_int(m, s)).coeffs
+
+    @given(polys, st.integers(1, 12), bases)
+    def test_divide_undoes_the_product(self, c, m, s):
+        assert div_q_int((c * q_int(m, s)).coeffs, m, s) == c.coeffs
+
+    @given(polys, st.integers(2, 12), bases)
+    def test_divide_rejects_a_non_multiple(self, c, m, s):
+        with pytest.raises(ValueError):
+            div_q_int((c * q_int(m, s) + ONE).coeffs, m, s)
+
+    def test_divide_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            div_q_int((1, 1), 0)
+
+    def test_no_product_or_division_runs(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a q-integer step reached a product or division")
+
+        c = (q_int(40) * q_int(35, 2)).coeffs
+        monkeypatch.setattr(exactarith, "_kronecker", forbidden)
+        monkeypatch.setattr(exactarith, "poly_gcd", forbidden)
+        monkeypatch.setattr(IntPolynomial, "exact_div", forbidden)
+        assert div_q_int(times_q_int(c, 30, 2), 30, 2) == c
 
 
 class TestPolyGcd:

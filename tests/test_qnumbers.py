@@ -1,7 +1,9 @@
 """Tests for the q-analog scalar families."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 
@@ -207,6 +209,11 @@ class TestPhi:
         for beta in range(17):
             assert phi_recursive(beta) == phi_closed(beta)
 
+    def test_recursion_agrees_in_any_call_order(self):
+        # phi_recursive runs on from the last index it reached, or restarts
+        for beta in (9, 3, 12, 12, 0, 7, 25, 1, 2, 24):
+            assert phi_recursive(beta) == phi_closed(beta)
+
 
 class TestPsi:
     def test_first_factor(self):
@@ -347,11 +354,10 @@ class TestQuotientDefinitions:
 
 @pytest.fixture
 def cold_qnumbers_caches():
-    """Empty every table of qnumbers, the lru_cache tables and the Pascal
-    table, before and after the test, so the test computes each value
-    afresh and leaves none behind."""
+    """Empty every lru_cache table of qnumbers before and after the test, so
+    the test computes each value afresh and leaves none behind."""
     tables = [f for f in vars(qnumbers).values() if hasattr(f, "cache_clear")]
-    clears = [table.cache_clear for table in tables] + [qnumbers._PASCAL.clear]
+    clears = [table.cache_clear for table in tables]
     for clear in clears:
         clear()
     yield
@@ -371,27 +377,32 @@ def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
         phi_closed(beta)
 
 
+def test_chain_families_never_recurse():
+    # a fresh interpreter, with a recursion limit far below every index
+    code = (
+        "import sys\n"
+        "from qexpand import qnumbers as Q\n"
+        "sys.setrecursionlimit(30)\n"
+        "Q.q_factorial(150), Q.psi(75), Q.phi_recursive(150), Q.phi_closed(150)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qnumbers.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("n, k, power", [(1500, 1, 1), (1500, 1499, 2)])
 def test_gaussian_binomial_past_the_recursion_limit(cold_qnumbers_caches, n, k, power):
-    # [n, 1] = [n, n-1] = [n]; the table is filled bottom-up, so no call recurses
+    # [n, 1] = [n, n-1] = [n]; the chain takes min(k, n-k) steps and never recurses
     assert gaussian_binomial(n, k, power) == q_int(n, power)
-
-
-def test_gaussian_binomial_hits_build_nothing(monkeypatch, cold_qnumbers_caches):
-    first = gaussian_binomial(12, 5, 2)
-
-    def no_monomial(*args):
-        raise AssertionError("a table hit built a monomial")
-
-    monkeypatch.setattr(IntPolynomial, "monomial", no_monomial)
-    assert gaussian_binomial(12, 5, 2) is first
-    assert gaussian_binomial(10, 4, 2)(1) == math.comb(10, 4)  # filled on the way
 
 
 def test_pascal_table_is_thread_safe(cold_qnumbers_caches):
     cases = [(n, k, p) for p in (1, 2) for n in range(26) for k in range(n + 1)]
     expected = [gaussian_binomial(*case) for case in cases]
-    qnumbers._PASCAL.clear()
     results = {}
 
     def work(seed):

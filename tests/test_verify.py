@@ -90,6 +90,25 @@ class TestExpandFormula:
             expand_formula(SYSTEM_A, 0)
 
 
+class TestWalk:
+    @pytest.mark.parametrize(
+        "system, max_n",
+        [(SYSTEM_A, 30), (SYSTEM_B, 30), (SYSTEM_A_C0, 20), (SYSTEM_B_XI0, 20)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_walk_matches_the_single_index_family(self, system, max_n):
+        # theta_A and theta_B, and for the degenerate limits the q-binomial
+        # and the base-q^2 multinomial, at every index
+        spec = SPECS[system]
+        first, middle, last = system.normal_order
+        for n in range(1, max_n + 1):
+            expected = NCPolynomial(
+                (first * a + middle * b + last * g, spec.family(a, b, g))
+                for a, b, g in _indices(spec.weight, n)
+            )
+            assert expand_formula(system, n) == expected
+
+
 class TestSystemRecord:
     def test_record_is_keyed_by_system_not_name(self):
         # named "A" but with the c = 0 rules: it must not get System A's family
@@ -270,15 +289,10 @@ class TestVerifyDegenerations:
 class TestSuitesCanFail:
     """One wrong value injected into each suite shows as exactly one failure."""
 
-    def test_lemma_reports_the_mismatched_word(self, monkeypatch):
-        spec = SPECS[SYSTEM_A]
+    def test_lemma_reports_the_mismatched_word(self, wrong_formula_term):
         right = theta_a(1, 1, 1)
         wrong = right + RF_ONE
-
-        def family(*indices):
-            return wrong if indices == (1, 1, 1) else spec.family(*indices)
-
-        monkeypatch.setitem(SPECS, SYSTEM_A, dataclasses.replace(spec, family=family))
+        wrong_formula_term(SYSTEM_A, "bca")
         reports = verify_expansions(SYSTEM_A, 6)
         assert [r.n for r in reports if not r.match] == [4]
         assert reports[3].mismatches == (Mismatch("bca", wrong, right),)
@@ -286,14 +300,8 @@ class TestSuitesCanFail:
             {"word": "bca", "formula": wrong.to_json(), "oracle": right.to_json()}
         ]
 
-    def test_degenerations_count_one_wrong_binomial(self, monkeypatch):
-        original = verify.gaussian_binomial
-
-        def binomial(n, k, power=1):
-            value = original(n, k, power)
-            return value + ONE if (n, k, power) == (6, 2, 1) else value
-
-        monkeypatch.setattr(verify, "gaussian_binomial", binomial)
+    def test_degenerations_count_one_wrong_binomial(self, wrong_formula_term):
+        wrong_formula_term(SYSTEM_A_C0, "bbaaaa")  # [6, 2]
         summary = verify_degenerations(6, 5)
         assert (summary.cases, summary.failures) == (82, 1)
 
