@@ -11,6 +11,7 @@ from .exactarith import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
+    over_one_minus_q,
     poly_gcd,
 )
 from .freealgebra import GENERATORS, NCPolynomial, format_word, parse_word
@@ -58,6 +59,7 @@ __all__ = [
     "RF_ZERO",
     "RF_ONE",
     "poly_gcd",
+    "over_one_minus_q",
     "GENERATORS",
     "NCPolynomial",
     "parse_word",

@@ -128,7 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_value(value, fmt: str) -> None:
-    print(json.dumps(value.to_json()) if fmt == "json" else str(value))
+    """Print one value; its text is written part by part, so the whole
+    text is never held in memory."""
+    if fmt == "json":
+        print(json.dumps(value.to_json()))
+        return
+    write = sys.stdout.write
+    for part in value.str_parts():
+        write(part)
+    write("\n")
 
 
 def _print_poly(poly: NCPolynomial, fmt: str) -> None:

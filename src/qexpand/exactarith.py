@@ -16,15 +16,20 @@ only on outside input.
 Multiplication by a monomial ``c*q**k`` is a shift and a scale.  Other
 products use a schoolbook loop over the nonzero coefficients of both
 operands while the shorter operand has fewer than ``_KRONECKER_MIN``
-coefficients, and Kronecker substitution from there on: both operands are
-packed into one integer with ``int.to_bytes``, multiplied by CPython's
-Karatsuba, and unpacked against a bias that makes every digit nonnegative.
-The crossover of 16 was measured on CPython 3.11.7 (x86_64, 2.1 GHz Xeon)
-over the 5879 products without a monomial operand made by oracle A at
-n = 24, Lemma 2 to n = 11, oracle B at n = 18, formula A at n = 24 and
-verify_phi(60): their total time is within 1% of its minimum for any
-crossover from 10 to 16, 22% above it at 40, and 2.6 times it with
-schoolbook alone.
+coefficients, and Kronecker substitution from there on (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, section 8.4): both operands are
+packed into one integer, their values at q = 2**W, multiplied by
+CPython's Karatsuba, and unpacked.  One byte-aligned codec serves this
+product and the rewrite engine of :mod:`qexpand.ordering`, which keeps its
+coefficients packed for a whole pass: ``kronecker_pack`` and
+``kronecker_unpack`` (balanced base-2**W digits, valid while every
+coefficient lies in [-2**(W-1), 2**(W-1))).  The crossover of 16 was
+first measured over products that the rewrite oracle made, and it no
+longer makes any.  It was measured again over the 2964 products without a monomial operand that remain in ``verify --suite
+all`` and ``verify --suite recurrences --bound 16`` (CPython 3.11.7,
+shared 2-core x86_64 Xeon, three runs): any crossover from 8 to 16 is
+within the noise of the fastest, 2 takes 23-83% longer, 32 or more
+32-59% longer, and schoolbook alone 34-75% longer.
 
 Every canonical denominator the expansions produce is a power of (q-1), from
 xi = (q+q^2)/(1-q) and phi_2i = psi(i)/(1-q)^i.  When the denominator is
@@ -33,6 +38,8 @@ synthetic division, at most k times; the result is already canonical, so
 no gcd, exact division or content step runs.  Sums over two powers of
 (q-1) use (q-1)^max as their common denominator.  Every other denominator
 goes through ``poly_gcd``, which the built-in routes no longer reach.
+``over_one_minus_q`` builds the canonical value cs/(1-q)^k from numerator
+coefficients, and ``one_minus_q_form`` takes it apart again.
 
 All values are immutable and every operation is a pure function, so values
 may be shared freely across threads and tasks.
@@ -46,7 +53,7 @@ from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
 from operator import add, index, neg, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # Length of the shorter operand from which Kronecker substitution is used.
 _KRONECKER_MIN = 16
@@ -200,10 +207,11 @@ class IntPolynomial:
     def from_json(cls, data: Sequence[str]) -> IntPolynomial:
         return cls(tuple(int(s) for s in data))
 
-    def __str__(self) -> str:
+    def str_parts(self) -> Iterator[str]:
+        """The pieces of str(self), one per nonzero term, to be joined by ''."""
         if not self.coeffs:
-            return "0"
-        parts: list[str] = []
+            yield "0"
+        first = True
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -214,11 +222,14 @@ class IntPolynomial:
                 body = "q" if k == 1 else f"q^{k}"
             else:
                 body = f"{mag}q" if k == 1 else f"{mag}q^{k}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
+            if first:
+                yield body if c > 0 else "-" + body
+                first = False
             else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
+                yield ("+" if c > 0 else "-") + body
+
+    def __str__(self) -> str:
+        return "".join(self.str_parts())
 
 
 def _trimmed(out: list[int]) -> IntPolynomial:
@@ -252,33 +263,51 @@ def _shift_scale(a: tuple[int, ...], shift: int, scale: int) -> tuple[int, ...]:
 
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product coefficients by Kronecker substitution, len(a) >= len(b).
-
-    Each coefficient becomes a ``width``-byte digit of one integer.  A bias
-    of half the digit range is added to every digit, so signed coefficients
-    pack and unpack with plain unsigned ``to_bytes``/``from_bytes``.
-    """
-    n = len(a) + len(b) - 1
+    """Product coefficients by Kronecker substitution, len(a) >= len(b)."""
     # no product coefficient exceeds len(b) * max|a| * max|b| in size
     bound = len(b) * max(map(abs, a)) * max(map(abs, b))
-    width = bound.bit_length() // 8 + 1
-    bias = 1 << (8 * width - 1)
-    bias_digit = bias.to_bytes(width, "little")
+    bits = 8 * (bound.bit_length() // 8 + 1)
+    return kronecker_unpack(kronecker_pack(a, bits) * kronecker_pack(b, bits), bits)
 
-    def pack(cs: tuple[int, ...]) -> int:
-        digits = b"".join([(c + bias).to_bytes(width, "little") for c in cs])
-        return int.from_bytes(digits, "little") - int.from_bytes(
-            bias_digit * len(cs), "little"
-        )
 
-    product = pack(a) * pack(b) + int.from_bytes(bias_digit * n, "little")
-    data = product.to_bytes(n * width, "little")
-    return tuple(
-        [
-            int.from_bytes(data[i : i + width], "little") - bias
-            for i in range(0, n * width, width)
-        ]
-    )
+def _bias(count: int, bits: int) -> int:
+    """The sum of 2**(bits-1) * 2**(bits*i) over i < count."""
+    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * count, "little")
+
+
+def kronecker_pack(cs: Sequence[int], bits: int) -> int:
+    """The value at q = 2**bits of the polynomial with coefficients cs.
+
+    ``bits`` is a multiple of 8 and every coefficient lies in
+    [-2**(bits-1), 2**(bits-1)).  A bias of 2**(bits-1) makes each one a
+    nonnegative ``bits``-bit digit, so the digits pack with one
+    ``int.from_bytes``; the biases are subtracted again as one integer.
+    """
+    width, half = bits // 8, 1 << (bits - 1)
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+    return int.from_bytes(digits, "little") - _bias(len(cs), bits)
+
+
+def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
+    """The coefficients, with no trailing zero, of the polynomial whose
+    value at q = 2**bits is ``value``: its balanced base-2**bits digits.
+
+    The result is that polynomial only when each of its coefficients lies
+    in [-2**(bits-1), 2**(bits-1)); the caller must know this from a bound.
+    Then a polynomial of d coefficients has a value at least
+    2**(bits*(d-1)) / 3 in size, so d <= value.bit_length() // bits + 2,
+    the ``count`` of digits read below.
+    """
+    width, half = bits // 8, 1 << (bits - 1)
+    count = abs(value).bit_length() // bits + 2
+    data = (value + _bias(count, bits)).to_bytes(count * width, "little")
+    out = [
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, count * width, width)
+    ]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def q_ratio(cs: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -531,15 +560,40 @@ class RationalFunction:
             IntPolynomial.from_json(data["num"]), IntPolynomial.from_json(data["den"])
         )
 
-    def __str__(self) -> str:
+    def str_parts(self) -> Iterator[str]:
+        """The pieces of str(self), to be joined by ''."""
         if self.den == ONE:
-            return str(self.num)
+            yield from self.num.str_parts()
+            return
         num, den = self.num, self.den
         trailing = next(c for c in den.coeffs if c != 0)
         if trailing < 0:
             # display-only sign flip so common values read like (1+q^2)/(1-q)
             num, den = -num, -den
-        return f"({num})/({den})"
+        yield "("
+        yield from num.str_parts()
+        yield ")/("
+        yield from den.str_parts()
+        yield ")"
+
+    def __str__(self) -> str:
+        return "".join(self.str_parts())
+
+
+def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
+    """The value cs / (1-q)^k, for coefficients cs with no trailing zero."""
+    num = IntPolynomial._raw(cs)
+    return RationalFunction(-num if k % 2 else num, _q_minus_one_power(k))
+
+
+def one_minus_q_form(value: RationalFunction) -> tuple[tuple[int, ...], int]:
+    """(cs, k) with value = cs / (1-q)^k, the inverse of over_one_minus_q;
+    ValueError unless value lies in Z[q, 1/(1-q)]."""
+    k = _q_minus_one_exponent(value.den.coeffs)
+    if k < 0:
+        raise ValueError(f"{value} is not in Z[q, 1/(1-q)]")
+    cs = value.num.coeffs
+    return (tuple([-c for c in cs]) if k % 2 else cs), k
 
 
 RF_ZERO = RationalFunction()

@@ -31,13 +31,49 @@ keeps a table from each core to its reduction for the length of one
 call; the oracle pass in :mod:`qexpand.verify` shares one table across
 all of its steps, so each core is reduced once per pass.  No table
 outlives the call or the pass that made it.
+
+The engine computes in Z[q, 1/(1-q)], where every rule coefficient must
+lie (a system is refused otherwise), and packs each coefficient
+num/(1-q)^k by Kronecker substitution as a record (N, k, b): the integer
+N = num(2^W), the exponent k, and a bound b >= ||num||_1, the sum of the
+sizes of the coefficients of num.  Since q -> 2^W is a ring map from
+Z[q] to the integers, a product of numerators is one product of
+integers, a sum one sum, and q^m a shift by mW bits; products multiply
+the bounds and sums add them.  Two values over different powers of 1 - q
+are added over the higher: the numerator over the lower power is
+multiplied by (1-q)^d, whose 1-norm is 2^d, so its bound is multiplied
+by 2^d.  A reduced core term is stored as q^m R with R(0) != 0, so a
+monomial factor costs a shift.  Every coefficient of num is at most
+||num||_1 in size, so while b < 2^(W-1) the balanced base-2^W digits of
+N are exactly the coefficients of num (see
+:func:`~qexpand.exactarith.kronecker_unpack`), and N = 0 exactly when
+num = 0.  Every decode and every zero test is made only under that
+check: each pending word's bound is checked when it is popped, and a
+step's bounds when the step ends, which covers every partial sum of the
+step because bounds only grow as terms are added.  When a bound reaches
+2^(W-1), the engine raises an internal overflow; the oracle pass then
+re-encodes its last step and the core table at a wider W (each value
+decoded and packed again) and redoes the step, and :func:`normalize` does
+the same for the one core it was reducing.  The bounds do not depend on W, so the redone work checks
+against the same bounds.  Decoded results are built by
+:func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
+1 - q, so they are canonical and equal to values computed any other way.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 
-from .exactarith import IntPolynomial, RF_ONE, RationalFunction
+from .exactarith import (
+    IntPolynomial,
+    RF_ONE,
+    RationalFunction,
+    kronecker_pack,
+    kronecker_unpack,
+    one_minus_q_form,
+    over_one_minus_q,
+)
 from .freealgebra import GENERATORS, NCPolynomial, _accumulate, parse_word
 from .qnumbers import xi
 
@@ -53,6 +89,13 @@ class RelationSystem:
         self.name = name
         self.normal_order = normal_order
         self.rank = {g: i for i, g in enumerate(normal_order)}
+        descents = [
+            x + y
+            for x in normal_order
+            for y in normal_order
+            if self.rank[x] > self.rank[y]
+        ]
+        self._descents = re.compile("|".join(descents))
         # letter of rank r -> a character that decreases with r
         self._table = str.maketrans(
             normal_order, "".join(sorted(normal_order, reverse=True))
@@ -60,12 +103,7 @@ class RelationSystem:
         self.rules = dict(rules)
         for pattern, replacement in self.rules.items():
             self._check_rule(pattern, replacement)
-        missing = [
-            x + y
-            for x in normal_order
-            for y in normal_order
-            if self.rank[x] > self.rank[y] and x + y not in self.rules
-        ]
+        missing = [xy for xy in descents if xy not in self.rules]
         if missing:
             raise ValueError(
                 f"no rule for out-of-order pattern {', '.join(map(repr, missing))} "
@@ -87,16 +125,18 @@ class RelationSystem:
         if is_normal(pattern, self):
             raise ValueError(f"rule pattern {pattern!r} is already normal")
         bound = self.order_key(pattern)
-        for word in replacement.words():
+        for word, coeff in replacement.items():
             if self.order_key(word) <= bound:
                 raise ValueError(
                     f"replacement word {word!r} does not shrink pattern "
                     f"{pattern!r} in the deglex order"
                 )
+            one_minus_q_form(coeff)  # ValueError outside Z[q, 1/(1-q)]
 
     def _check_overlap(self, word: str) -> None:
-        via_left = normalize(_apply_at(word, 0, self), self)
-        if via_left != normalize(_apply_at(word, 1, self), self):
+        rules = {pattern: r.items() for pattern, r in self.rules.items()}
+        via_left = normalize(NCPolynomial(_apply_at(word, 0, rules)), self)
+        if via_left != normalize(NCPolynomial(_apply_at(word, 1, rules)), self):
             raise ValueError(
                 f"overlap {word!r} has two normal forms in system {self.name}"
             )
@@ -105,72 +145,227 @@ class RelationSystem:
         return f"RelationSystem({self.name!r})"
 
 
-def _leftmost_pair(word: str, rank: dict[str, int]) -> int:
+def _leftmost_pair(word: str, system: RelationSystem) -> int:
     """Index of the leftmost adjacent pair in decreasing rank order, or -1."""
-    for i in range(len(word) - 1):
-        if rank[word[i]] > rank[word[i + 1]]:
-            return i
-    return -1
+    found = system._descents.search(word)
+    return -1 if found is None else found.start()
 
 
 def is_normal(word: str, system: RelationSystem) -> bool:
     """True iff the word's letter ranks are non-decreasing left to right."""
-    return _leftmost_pair(word, system.rank) < 0
+    return _leftmost_pair(word, system) < 0
 
 
-def _apply_at(word: str, i: int, system: RelationSystem) -> NCPolynomial:
-    replacement = system.rules[word[i : i + 2]]
+def _apply_at(word: str, i: int, rules: dict) -> list:
+    """The (word, factor) terms of one rewrite of the pair at index i, where
+    ``rules`` maps each pattern to its replacement's (word, factor) terms."""
     prefix, suffix = word[:i], word[i + 2 :]
-    # replacement words differ pairwise, so the rebuilt words do too
-    return NCPolynomial._from_reduced(
-        {prefix + w + suffix: c for w, c in replacement.items()}
-    )
+    return [(prefix + w + suffix, f) for w, f in rules[word[i : i + 2]]]
 
 
-def _reduce_word(word: str, system: RelationSystem) -> NCPolynomial:
-    key, rank = system.order_key, system.rank
-    normal: dict[str, RationalFunction] = {}
-    pending: dict[str, RationalFunction] = {word: RF_ONE}
+def _split(word: str, first: str, last: str) -> tuple[str, str, str]:
+    """(prefix, core, suffix): the inert runs of ``first`` and ``last``
+    letters at either end of the word, and the core between them."""
+    rest = word.lstrip(first)
+    core = rest.rstrip(last)
+    return word[: len(word) - len(rest)], core, rest[len(core) :]
+
+
+# A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and
+# b >= ||num||_1; a packed factor (mW, R, k, b) for q^m R/(1-q)^k alike.
+_PACKED_ONE = (1, 0, 1)
+_START_BITS = 64
+
+
+class _Overflow(Exception):
+    """A bound reached 2^(W-1): values packed at width W may no longer be
+    decoded or tested for zero."""
+
+    def __init__(self, bound: int):
+        super().__init__(bound)
+        self.bound = bound
+
+
+def _factor(value: RationalFunction, bits: int) -> tuple[int, int, int, int]:
+    """The packed factor of a nonzero value of Z[q, 1/(1-q)]."""
+    cs, k = one_minus_q_form(value)
+    m = next(i for i, c in enumerate(cs) if c)
+    return m * bits, kronecker_pack(cs[m:], bits), k, sum(map(abs, cs))
+
+
+def _add(terms: dict, word: str, n: int, k: int, b: int, bits: int) -> None:
+    """Add the packed value (n, k, b) to the term of word, over the higher
+    of the two powers of 1 - q.  A sum that is zero stays in ``terms``."""
+    old = terms.get(word)
+    if old is not None:
+        n0, k0, b0 = old
+        if k0 < k:
+            n0, k0, b0, n, k, b = n, k, b, n0, k0, b0
+        if k0 > k:
+            for _ in range(k0 - k):
+                n -= n << bits  # times 1 - q
+            b <<= k0 - k
+        n, k, b = n0 + n, k0, b0 + b
+    terms[word] = (n, k, b)
+
+
+class _Cores:
+    """The packed rules of one system and its table of core reductions, at
+    one width W = ``bits``; one instance serves one call of
+    :func:`normalize` or one oracle pass."""
+
+    def __init__(self, system: RelationSystem):
+        self.system = system
+        self.bits = 0
+        self.table: dict[str, list] = {}
+        rule_bound = max(
+            (
+                sum(map(abs, c.num.coeffs))
+                for replacement in system.rules.values()
+                for _, c in replacement.items()
+            ),
+            default=1,  # every rule maps to 0: any width fits
+        )
+        # the first width fits the rules; there is nothing else to re-encode
+        self.widen(rule_bound, {})
+
+    def widen(self, bound: int, terms: dict) -> dict:
+        """Move to a width at least ``_START_BITS`` whose 2^(W-1) exceeds
+        ``bound`` by a margin: re-encode the rules, the table and the packed
+        values ``terms``, and return the new terms."""
+        old = self.bits
+        need = bound.bit_length() + 1
+        self.bits = bits = max(_START_BITS, 8 * ((need + need // 8) // 8 + 1))
+
+        def rewiden(n: int) -> int:
+            return kronecker_pack(kronecker_unpack(n, old), bits)
+
+        self.rules = {
+            pattern: [(w, _factor(c, bits)) for w, c in replacement.items()]
+            for pattern, replacement in self.system.rules.items()
+        }
+        self.table = {
+            core: [
+                (w, (shift // old * bits, rewiden(r), k, b))
+                for w, (shift, r, k, b) in reduced
+            ]
+            for core, reduced in self.table.items()
+        }
+        return {w: (rewiden(n), k, b) for w, (n, k, b) in terms.items()}
+
+    def retry(self, step, terms: dict):
+        """``step(terms)``, redone on ``terms`` and the table re-encoded
+        wider for as long as a bound in it overflows."""
+        while True:
+            try:
+                return step(terms)
+            except _Overflow as err:
+                terms = self.widen(err.bound, terms)
+
+    def reduce(self, core: str) -> list:
+        """The packed reduction of a word core, from the table or made now."""
+        reduced = self.table.get(core)
+        if reduced is None:
+            reduced = self.table[core] = _reduce_word(core, self)
+        return reduced
+
+    def decode(self, core: str) -> list[tuple[str, RationalFunction]]:
+        """The reduction of a word core with its coefficients decoded,
+        widening until the reduction fits."""
+        reduced = self.retry(lambda _: self.reduce(core), {})
+        bits = self.bits
+        return [
+            (w, over_one_minus_q((0,) * (shift // bits) + kronecker_unpack(r, bits), k))
+            for w, (shift, r, k, _) in reduced
+        ]
+
+
+def _reduce_word(word: str, cores: _Cores) -> list:
+    """The normal form of a word as (normal word, packed factor) terms.
+
+    Each pending word is popped once, deglex-largest first, with its
+    coefficient complete, and is checked against the bound there."""
+    system, rules, bits = cores.system, cores.rules, cores.bits
+    key = system.order_key
+    limit = 1 << (bits - 1)
+    normal = []
+    pending = {word: _PACKED_ONE}
     heap = [(key(word), word)]
     while heap:
         _, w = heapq.heappop(heap)
-        coeff = pending.pop(w, None)
-        if coeff is None:
-            continue  # stale heap entry for a cancelled word
-        i = _leftmost_pair(w, rank)
+        n, k, b = pending.pop(w)
+        if b >= limit:
+            raise _Overflow(b)
+        if not n:
+            continue  # the terms of w cancelled
+        i = _leftmost_pair(w, system)
         if i < 0:
-            _accumulate(normal, w, coeff)
+            # n = 2^(mW) R(2^W) with 0 < |R(0)| < 2^(W-1), so m = v2(n) // W
+            shift = ((n & -n).bit_length() - 1) // bits * bits
+            normal.append((w, (shift, n >> shift, k, b)))
             continue
-        for produced, factor in _apply_at(w, i, system).items():
+        for produced, (shift, r, kr, br) in _apply_at(w, i, rules):
             if produced not in pending:
                 heapq.heappush(heap, (key(produced), produced))
-            _accumulate(pending, produced, coeff * factor)
-    return NCPolynomial._from_reduced(normal)
+            product = (n if r == 1 else n * r) << shift
+            _add(pending, produced, product, k + kr, b * br, bits)
+    return normal
 
 
-def _normalize(
-    p: NCPolynomial, system: RelationSystem, cores: dict[str, NCPolynomial]
-) -> NCPolynomial:
-    """normalize(p, system), reading and filling the table ``cores`` of
-    core reductions, which must belong to this system."""
+def _decode(terms: dict, bits: int) -> NCPolynomial:
+    """The polynomial of packed values word -> (N, k, b) at a width of
+    ``bits``, each with b < 2^(bits-1) and N != 0."""
+    return NCPolynomial._from_reduced(
+        {
+            w: over_one_minus_q(kronecker_unpack(n, bits), k)
+            for w, (n, k, _) in terms.items()
+        }
+    )
+
+
+def _normalize_step(terms: dict, letters: str, cores: _Cores) -> dict:
+    system = cores.system
     first, last = system.normal_order[0], system.normal_order[-1]
-    total: dict[str, RationalFunction] = {}
-    for word, coeff in p.items():
-        rest = word.lstrip(first)
-        core = rest.rstrip(last)
-        prefix, suffix = word[: len(word) - len(rest)], rest[len(core) :]
-        reduced = cores.get(core)
-        if reduced is None:
-            reduced = cores[core] = _reduce_word(core, system)
-        for w, c in reduced.items():
-            _accumulate(total, prefix + w + suffix, coeff * c)
-    return NCPolynomial._from_reduced(total)
+    bits = cores.bits
+    total: dict = {}
+    for word, (n, k, b) in terms.items():
+        for x in letters:
+            prefix, core, suffix = _split(word + x, first, last)
+            for w, (shift, r, kr, br) in cores.reduce(core):
+                product = (n if r == 1 else n * r) << shift
+                _add(total, prefix + w + suffix, product, k + kr, b * br, bits)
+    bound = max([v[2] for v in total.values()], default=0)
+    if bound >> (bits - 1):
+        raise _Overflow(bound)
+    return {w: v for w, v in total.items() if v[0]}
+
+
+def _normalize(terms: dict, letters: str, cores: _Cores) -> dict:
+    """The packed normal form of the sum of terms[w] * w x over the words w
+    of the packed values ``terms`` and the letters x, at the width
+    ``cores.bits`` has when it returns.  Zero terms are dropped.  When a
+    bound overflows, ``terms`` and the table are re-encoded wider and the
+    product is normalised again."""
+    return cores.retry(lambda t: _normalize_step(t, letters, cores), terms)
 
 
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
-    normal words, extended linearly over the terms of p."""
-    return _normalize(p, system, {})
+    normal words, extended linearly over the terms of p.  Word cores are
+    reduced packed and decoded; the coefficients of p, which may lie
+    outside Z[q, 1/(1-q)], scale them in RationalFunction arithmetic."""
+    cores = _Cores(system)
+    first, last = system.normal_order[0], system.normal_order[-1]
+    decoded: dict[str, list] = {}
+    total: dict[str, RationalFunction] = {}
+    for word, coeff in p.items():
+        prefix, core, suffix = _split(word, first, last)
+        reduced = decoded.get(core)
+        if reduced is None:
+            reduced = decoded[core] = cores.decode(core)
+        for w, c in reduced:
+            _accumulate(total, prefix + w + suffix, coeff * c)
+    return NCPolynomial._from_reduced(total)
 
 
 _Q1 = RationalFunction(IntPolynomial((0, 1)))

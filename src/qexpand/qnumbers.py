@@ -22,7 +22,7 @@ from .exactarith import (
     RF_ONE,
     RationalFunction,
     ZERO,
-    _q_minus_one_power,
+    over_one_minus_q,
     q_ratio,
     times_q_int,
 )
@@ -33,12 +33,6 @@ _ONE_MINUS_Q = IntPolynomial((1, -1))
 def _check_base(power: int) -> None:
     if power not in (1, 2):
         raise ValueError("base power must be 1 or 2")
-
-
-def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
-    """The value cs / (1-q)^k, for coefficients cs with no trailing zero."""
-    num = IntPolynomial._raw(cs)
-    return RationalFunction(-num if k % 2 else num, _q_minus_one_power(k))
 
 
 @lru_cache(maxsize=None)

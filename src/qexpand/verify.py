@@ -7,6 +7,11 @@ points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
 limits, and a numeric specialization at complex points on the unit circle.
 
+The oracle pass keeps every coefficient packed as one integer (see
+:mod:`qexpand.ordering`) and decodes only the steps that a caller
+returns: :func:`expand_oracle` its last, :func:`verify_expansions`
+every one.
+
 The formula route walks each row of fixed beta: neighbouring coefficients
 differ by a ratio of q-integers, so each costs one O(degree) step of
 :func:`~qexpand.exactarith.q_ratio` from the last.  The degenerate limits
@@ -33,6 +38,7 @@ from .exactarith import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    over_one_minus_q,
     q_ratio,
     times_q_int,
 )
@@ -43,11 +49,13 @@ from .ordering import (
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
+    _PACKED_ONE,
+    _Cores,
+    _decode,
     _normalize,
 )
 from .qnumbers import (
     gaussian_binomial,
-    over_one_minus_q,
     phi_closed,
     phi_recursive,
     q2_multinomial,
@@ -246,17 +254,20 @@ def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
     return NCPolynomial(_walk(system, n))
 
 
-def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[NCPolynomial]:
-    """The oracle expansions for n = 1, ..., max_n in one pass: each step
-    multiplies the previous one by the sum of generators and normal-orders
-    the product.  One table of core reductions serves every step, so each
-    word core is reduced once per pass."""
-    expansion = s = base_sum(system)
-    yield expansion
-    cores: dict[str, NCPolynomial] = {}
+def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[tuple[dict, int]]:
+    """The oracle expansions for n = 1, ..., max_n in one pass, each as the
+    arguments of :func:`~qexpand.ordering._decode`: its packed values and
+    their width.  Each step appends every generator of the sum to every
+    word of the previous step and normal-orders the result.  One table of
+    core reductions serves every step, so each word core is reduced once
+    per pass."""
+    letters = "".join(base_sum(system).words())
+    cores = _Cores(system)
+    expansion = {x: _PACKED_ONE for x in letters}
+    yield expansion, cores.bits
     for _ in range(max_n - 1):
-        expansion = _normalize(expansion * s, system, cores)
-        yield expansion
+        expansion = _normalize(expansion, letters, cores)
+        yield expansion, cores.bits
 
 
 def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
@@ -266,7 +277,7 @@ def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
         raise ValueError("n must be >= 1")
     for expansion in _oracle_pass(system, n):
         pass
-    return expansion
+    return _decode(*expansion)
 
 
 def _pairs(
@@ -293,8 +304,8 @@ def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionRepor
     """Compare formula and oracle expansions for every n up to max_n.
 
     The oracle runs one pass, each step building on the last, so a report's
-    duration_ms times step n only: the formula, one oracle step and the
-    comparison."""
+    duration_ms times step n only: the formula, one oracle step, its
+    decoding and the comparison."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     reports = []
@@ -302,7 +313,7 @@ def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionRepor
     for n in range(1, max_n + 1):
         start = time.perf_counter()
         formula = expand_formula(system, n)
-        oracle = next(oracle_steps)
+        oracle = _decode(*next(oracle_steps))
         mismatches = _compare(formula, oracle)
         duration = int((time.perf_counter() - start) * 1000)
         reports.append(

@@ -47,6 +47,9 @@ def test_tracer_installs_reports_and_restores():
     try:
         assert tracer._restore, "the tracer rebound nothing"
         reports = verify.verify_expansions(SYSTEM_B, 4)
+        # the oracle multiplies packed integers, not polynomials; the
+        # recurrences still multiply IntPolynomials
+        verify.verify_recurrences(SYSTEM_B, 4)
     finally:
         tracer.uninstall()
 

@@ -19,6 +19,10 @@ from qexpand.exactarith import (
     RationalFunction,
     ZERO,
     div_q_int,
+    kronecker_pack,
+    kronecker_unpack,
+    one_minus_q_form,
+    over_one_minus_q,
     poly_gcd,
     times_q_int,
 )
@@ -186,6 +190,57 @@ class TestPolyGcd:
         assert f.exact_div(d) * d == f
         assert g.exact_div(d) * d == g
         assert d == P((1, 2, 1))
+
+
+@st.composite
+def packable(draw):
+    """(bits, coefficients): a byte-aligned width and a coefficient tuple
+    with no trailing zero, every entry in [-2**(bits-1), 2**(bits-1)) and
+    the edge values drawn often."""
+    bits = 8 * draw(st.integers(1, 20))
+    half = 1 << (bits - 1)
+    edges = st.sampled_from((-half, -(half - 1), half - 1, -1, 0, 1))
+    cs = draw(st.lists(st.one_of(edges, st.integers(-half, half - 1)), max_size=12))
+    while cs and not cs[-1]:
+        cs.pop()
+    return bits, tuple(cs)
+
+
+class TestKroneckerCodec:
+    @given(packable())
+    def test_round_trip(self, case):
+        bits, cs = case
+        packed = kronecker_pack(cs, bits)
+        assert packed == sum(c << (bits * i) for i, c in enumerate(cs))
+        assert kronecker_unpack(packed, bits) == cs
+
+    def test_edges(self):
+        for bits in (8, 64, 72):
+            half = 1 << (bits - 1)
+            for cs in ((-half,), (half - 1,), (-half, half - 1, -half), (0, 0, -half)):
+                assert kronecker_unpack(kronecker_pack(cs, bits), bits) == cs
+        assert kronecker_unpack(0, 64) == ()
+
+    def test_product_of_images_is_image_of_product(self):
+        # q -> 2**bits is a ring map, so the packed product decodes to the
+        # polynomial product while its coefficients stay below the half-digit
+        a, b = (3, -7, 0, 5), (-2, 0, 11)
+        product = kronecker_unpack(kronecker_pack(a, 64) * kronecker_pack(b, 64), 64)
+        assert P(product) == P(a) * P(b)
+
+
+class TestOneMinusQForm:
+    @given(small_polys, st.integers(0, 5))
+    def test_inverse_of_over_one_minus_q(self, p, k):
+        assume(not p.is_zero())
+        value = over_one_minus_q(p.coeffs, k)
+        cs, j = one_minus_q_form(value)
+        assert over_one_minus_q(cs, j) == value
+
+    def test_rejects_other_denominators(self):
+        for den in ((2,), (1, 1)):
+            with pytest.raises(ValueError, match="not in Z"):
+                one_minus_q_form(rf((1,), den))
 
 
 class TestRationalFunction:

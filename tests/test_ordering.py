@@ -4,8 +4,18 @@ import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qexpand.exactarith import IntPolynomial, RF_ONE, RationalFunction
+from qexpand.exactarith import (
+    ONE,
+    IntPolynomial,
+    RF_ONE,
+    RationalFunction,
+    kronecker_pack,
+    kronecker_unpack,
+    over_one_minus_q,
+)
 from qexpand.freealgebra import NCPolynomial
 from qexpand import ordering
 from qexpand.ordering import (
@@ -83,6 +93,20 @@ class TestRelationSystem:
         for order in ("bc", "bcaa", "bcd", "bba"):
             with pytest.raises(ValueError, match="not a permutation"):
                 RelationSystem("bad", order, rule)
+
+    def test_rule_coefficient_must_lie_in_the_ring(self):
+        # the engine packs every rule coefficient as num/(1-q)^k
+        for den in ((2,), (1, 1)):
+            coeff = RationalFunction(P((1,)), P(den))
+            rules = {**SYSTEM_A_C0.rules, "ab": NCPolynomial({"ba": coeff})}
+            with pytest.raises(ValueError, match="not in Z"):
+                RelationSystem("bad", "bca", rules)
+
+    def test_rules_that_all_map_to_zero(self):
+        zero = NCPolynomial()
+        system = RelationSystem("zero", "bca", {"ab": zero, "ac": zero, "cb": zero})
+        assert normalize(word_poly("acab"), system) == zero
+        assert normalize(word_poly("bca"), system) == word_poly("bca")
 
     def test_rule_pattern_must_be_a_word(self):
         with pytest.raises(ValueError, match="invalid generator 'd'"):
@@ -233,6 +257,35 @@ class TestAuxiliaryFamilies:
                     )
 
 
+packed_terms = st.lists(
+    st.tuples(st.lists(st.integers(-50, 50), max_size=6), st.integers(0, 4)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestPackedSums:
+    @given(packed_terms)
+    def test_sum_over_powers_of_one_minus_q(self, terms):
+        # each term num/(1-q)^k is added with its bound ||num||_1; the sum
+        # must decode to the exact sum, and its bound must cover its numerator
+        bits = 64
+        total, expected = {}, RationalFunction()
+        for cs, k in terms:
+            while cs and not cs[-1]:
+                cs.pop()
+            n = kronecker_pack(cs, bits)
+            ordering._add(total, "w", n, k, sum(map(abs, cs)), bits)
+            expected = expected + over_one_minus_q(tuple(cs), k)
+        n, k, b = total["w"]
+        num = kronecker_unpack(n, bits)
+        assert sum(map(abs, num)) <= b
+        if num:
+            assert over_one_minus_q(num, k) == expected
+        else:
+            assert expected.is_zero()
+
+
 def _random_words(count, max_len, seed):
     rng = random.Random(seed)
     return [
@@ -308,6 +361,31 @@ class TestNormalizeProperties:
         again = normalize(word_poly("acab"), system)
         assert first == again
         assert vars(system) == before
+
+    def test_coefficients_outside_the_ring(self, reduce_randomly):
+        # cores are reduced packed in Z[q, 1/(1-q)]; the coefficients of the
+        # input scale them afterwards, whatever their denominators
+        rng = random.Random(18)
+        halves = RationalFunction(ONE, P((2,)))
+        over_one_plus_q = RationalFunction(P((0, 3)), P((1, 1)))
+        for system in SYSTEMS.values():
+            for w1, w2 in zip(*[iter(_random_words(20, 6, seed=18))] * 2):
+                p = word_poly(w1, halves) + word_poly(w2, over_one_plus_q)
+                assert normalize(p, system) == reduce_randomly(p, system, rng)
+
+    def test_normalize_widens_past_64_bits(self, reduce_randomly):
+        # ab -> (2^40 + q) ba: the normal form of a^3 b has a coefficient
+        # of about 2^120, so the core must be reduced again at a wider width
+        big = RationalFunction(P((2**40, 1)))
+        rules = {**SYSTEM_A_C0.rules, "ab": NCPolynomial({"ba": big})}
+        system = RelationSystem("big", "bca", rules)
+        cores = ordering._Cores(system)
+        assert cores.bits == 64
+        cores.decode("aaab")
+        assert cores.bits > 121
+        result = normalize(word_poly("aaab"), system)
+        assert result == NCPolynomial({"baaa": big * big * big})
+        assert result == reduce_randomly(word_poly("aaab"), system, random.Random(19))
 
     def test_degenerate_systems_drop_extra_terms(self):
         assert normalize(word_poly("ab"), SYSTEM_A_C0) == NCPolynomial({"ba": qpow(1)})

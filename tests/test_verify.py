@@ -18,6 +18,7 @@ from qexpand.ordering import (
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
+    _decode,
     is_normal,
 )
 from qexpand.qnumbers import phi_closed, q_int, theta_a
@@ -181,21 +182,42 @@ class TestVerifyExpansions:
         reduced = []
         reduce_word = ordering._reduce_word
 
-        def recording(word, system):
+        def recording(word, cores):
             reduced.append(word)
-            return reduce_word(word, system)
+            return reduce_word(word, cores)
 
         monkeypatch.setattr(ordering, "_reduce_word", recording)
         rng = random.Random(17)
         for system in (SYSTEM_A, SYSTEM_B):
             reduced.clear()
-            steps = list(_oracle_pass(system, 10))
+            steps = [_decode(*step) for step in _oracle_pass(system, 10)]
             assert len(reduced) == len(set(reduced))
             s = base_sum(system)
             products = [previous * s for previous in steps[:-1]]
             assert len(reduced) < sum(len(product) for product in products)
             for product, step in zip(products, steps[1:]):
                 assert step == reduce_randomly(product, system, rng)
+
+    def test_oracle_widens_past_64_bits(self):
+        # the coefficients of (a+b)^40 in System A need 91 bits
+        *_, (terms, bits) = _oracle_pass(SYSTEM_A, 40)
+        assert bits > 91
+        assert _decode(terms, bits) == expand_formula(SYSTEM_A, 40)
+
+    def test_oracle_adds_over_different_powers_of_one_minus_q(self, monkeypatch):
+        # in System B a word reached through more xi rewrites carries a
+        # higher power of 1/(1-q); such sums lift the other term to it
+        mixed = []
+        add = ordering._add
+
+        def recording(terms, word, n, k, b, bits):
+            if word in terms and terms[word][1] != k:
+                mixed.append(word)
+            add(terms, word, n, k, b, bits)
+
+        monkeypatch.setattr(ordering, "_add", recording)
+        assert expand_oracle(SYSTEM_B, 10) == expand_formula(SYSTEM_B, 10)
+        assert mixed
 
     def test_oracle_output_is_pinned(self):
         # digests of the serialised expansions, computed before the rewrite
