@@ -25,11 +25,12 @@ coefficients packed for a whole pass: ``kronecker_pack`` and
 ``kronecker_unpack`` (balanced base-2**W digits, valid while every
 coefficient lies in [-2**(W-1), 2**(W-1))).  The crossover of 16 was
 first measured over products that the rewrite oracle made, and it no
-longer makes any.  It was measured again over the 2964 products without a monomial operand that remain in ``verify --suite
-all`` and ``verify --suite recurrences --bound 16`` (CPython 3.11.7,
-shared 2-core x86_64 Xeon, three runs): any crossover from 8 to 16 is
-within the noise of the fastest, 2 takes 23-83% longer, 32 or more
-32-59% longer, and schoolbook alone 34-75% longer.
+longer makes any.  It was measured again over the 2964 products without
+a monomial operand that remain in ``verify --suite all`` and ``verify
+--suite recurrences --bound 16`` (CPython 3.11.7, shared 2-core x86_64
+Xeon, three runs): any crossover from 8 to 16 is within the noise of
+the fastest, 2 takes 23-83% longer, 32 or more 32-59% longer, and
+schoolbook alone 34-75% longer.
 
 Every canonical denominator the expansions produce is a power of (q-1), from
 xi = (q+q^2)/(1-q) and phi_2i = psi(i)/(1-q)^i.  When the denominator is

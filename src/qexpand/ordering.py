@@ -33,7 +33,8 @@ all of its steps, so each core is reduced once per pass.  No table
 outlives the call or the pass that made it.
 
 The engine computes in Z[q, 1/(1-q)], where every rule coefficient must
-lie (a system is refused otherwise), and packs each coefficient
+lie (a system is refused otherwise) and every coefficient of the input
+of :func:`normalize` (ValueError otherwise), and packs each coefficient
 num/(1-q)^k by Kronecker substitution as a record (N, k, b): the integer
 N = num(2^W), the exponent k, and a bound b >= ||num||_1, the sum of the
 sizes of the coefficients of num.  Since q -> 2^W is a ring map from
@@ -51,11 +52,11 @@ num = 0.  Every decode and every zero test is made only under that
 check: each pending word's bound is checked when it is popped, and a
 step's bounds when the step ends, which covers every partial sum of the
 step because bounds only grow as terms are added.  When a bound reaches
-2^(W-1), the engine raises an internal overflow; the oracle pass then
-re-encodes its last step and the core table at a wider W (each value
-decoded and packed again) and redoes the step, and :func:`normalize` does
-the same for the one core it was reducing.  The bounds do not depend on W, so the redone work checks
-against the same bounds.  Decoded results are built by
+2^(W-1), the engine raises an internal overflow, re-encodes the step's
+input and the core table at a wider W (each value decoded and packed
+again) and redoes the step; :func:`normalize` is one such step, on the
+packed terms of its input.  The bounds do not depend on W, so the redone
+work checks against the same bounds.  Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
 """
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from typing import Iterable
 
 from .exactarith import (
     IntPolynomial,
@@ -74,7 +76,7 @@ from .exactarith import (
     one_minus_q_form,
     over_one_minus_q,
 )
-from .freealgebra import GENERATORS, NCPolynomial, _accumulate, parse_word
+from .freealgebra import GENERATORS, NCPolynomial, parse_word
 from .qnumbers import xi
 
 
@@ -253,14 +255,19 @@ class _Cores:
         }
         return {w: (rewiden(n), k, b) for w, (n, k, b) in terms.items()}
 
-    def retry(self, step, terms: dict):
-        """``step(terms)``, redone on ``terms`` and the table re-encoded
-        wider for as long as a bound in it overflows."""
-        while True:
-            try:
-                return step(terms)
-            except _Overflow as err:
-                terms = self.widen(err.bound, terms)
+    def pack(self, p: NCPolynomial) -> dict:
+        """The packed values of the terms of p, widening first if one of
+        their bounds does not fit; ValueError unless every coefficient of p
+        lies in Z[q, 1/(1-q)]."""
+        forms = {w: one_minus_q_form(c) for w, c in p.items()}
+        bounds = {w: sum(map(abs, cs)) for w, (cs, _) in forms.items()}
+        bound = max(bounds.values(), default=0)
+        if bound >> (self.bits - 1):
+            self.widen(bound, {})
+        return {
+            w: (kronecker_pack(cs, self.bits), k, bounds[w])
+            for w, (cs, k) in forms.items()
+        }
 
     def reduce(self, core: str) -> list:
         """The packed reduction of a word core, from the table or made now."""
@@ -268,16 +275,6 @@ class _Cores:
         if reduced is None:
             reduced = self.table[core] = _reduce_word(core, self)
         return reduced
-
-    def decode(self, core: str) -> list[tuple[str, RationalFunction]]:
-        """The reduction of a word core with its coefficients decoded,
-        widening until the reduction fits."""
-        reduced = self.retry(lambda _: self.reduce(core), {})
-        bits = self.bits
-        return [
-            (w, over_one_minus_q((0,) * (shift // bits) + kronecker_unpack(r, bits), k))
-            for w, (shift, r, k, _) in reduced
-        ]
 
 
 def _reduce_word(word: str, cores: _Cores) -> list:
@@ -323,13 +320,13 @@ def _decode(terms: dict, bits: int) -> NCPolynomial:
     )
 
 
-def _normalize_step(terms: dict, letters: str, cores: _Cores) -> dict:
+def _normalize_step(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
     system = cores.system
     first, last = system.normal_order[0], system.normal_order[-1]
     bits = cores.bits
     total: dict = {}
     for word, (n, k, b) in terms.items():
-        for x in letters:
+        for x in suffixes:
             prefix, core, suffix = _split(word + x, first, last)
             for w, (shift, r, kr, br) in cores.reduce(core):
                 product = (n if r == 1 else n * r) << shift
@@ -340,32 +337,25 @@ def _normalize_step(terms: dict, letters: str, cores: _Cores) -> dict:
     return {w: v for w, v in total.items() if v[0]}
 
 
-def _normalize(terms: dict, letters: str, cores: _Cores) -> dict:
+def _normalize(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
     """The packed normal form of the sum of terms[w] * w x over the words w
-    of the packed values ``terms`` and the letters x, at the width
-    ``cores.bits`` has when it returns.  Zero terms are dropped.  When a
-    bound overflows, ``terms`` and the table are re-encoded wider and the
-    product is normalised again."""
-    return cores.retry(lambda t: _normalize_step(t, letters, cores), terms)
+    of the packed values ``terms`` and the strings x of ``suffixes``, at
+    the width ``cores.bits`` has when it returns.  Zero terms are dropped.
+    When a bound overflows, ``terms`` and the table are re-encoded wider
+    and the product is normalised again."""
+    while True:
+        try:
+            return _normalize_step(terms, suffixes, cores)
+        except _Overflow as err:
+            terms = cores.widen(err.bound, terms)
 
 
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
-    normal words, extended linearly over the terms of p.  Word cores are
-    reduced packed and decoded; the coefficients of p, which may lie
-    outside Z[q, 1/(1-q)], scale them in RationalFunction arithmetic."""
+    normal words, extended linearly over the terms of p.  Every coefficient
+    of p must lie in Z[q, 1/(1-q)]; ValueError otherwise."""
     cores = _Cores(system)
-    first, last = system.normal_order[0], system.normal_order[-1]
-    decoded: dict[str, list] = {}
-    total: dict[str, RationalFunction] = {}
-    for word, coeff in p.items():
-        prefix, core, suffix = _split(word, first, last)
-        reduced = decoded.get(core)
-        if reduced is None:
-            reduced = decoded[core] = cores.decode(core)
-        for w, c in reduced:
-            _accumulate(total, prefix + w + suffix, coeff * c)
-    return NCPolynomial._from_reduced(total)
+    return _decode(_normalize(cores.pack(p), ("",), cores), cores.bits)
 
 
 _Q1 = RationalFunction(IntPolynomial((0, 1)))

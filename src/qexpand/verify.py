@@ -49,7 +49,6 @@ from .ordering import (
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
-    _PACKED_ONE,
     _Cores,
     _decode,
     _normalize,
@@ -261,9 +260,10 @@ def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[tuple[dict, int
     word of the previous step and normal-orders the result.  One table of
     core reductions serves every step, so each word core is reduced once
     per pass."""
-    letters = "".join(base_sum(system).words())
+    start = base_sum(system)
+    letters = "".join(start.words())
     cores = _Cores(system)
-    expansion = {x: _PACKED_ONE for x in letters}
+    expansion = cores.pack(start)
     yield expansion, cores.bits
     for _ in range(max_n - 1):
         expansion = _normalize(expansion, letters, cores)

@@ -116,6 +116,24 @@ class TestExpandAndNormalize:
         _, out, _ = run_cli(["normalize", "--system", "A-c0", "--word", "ab"], capsys)
         assert out.strip() == "(q)·b·a"
 
+    def test_normalize_outputs_are_pinned(self, capsys):
+        # digest of the text and JSON output over a fixed word list; a^20 b^20
+        # in System A needs a packing width above 64 bits
+        digest = hashlib.sha256()
+        for system in SYSTEMS:
+            words = ["ab", "aab", "aac", "acab", "cba", ""]
+            if system == "A":
+                words.append("a" * 20 + "b" * 20)
+            for word in words:
+                for fmt in ("text", "json"):
+                    argv = ["normalize", "--system", system, "--word", word]
+                    code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "f3e2e24f4dbc8d00e97729727566f0079a82e3e99173cff294f4822c3745b7a0"
+        )
+
 
 class TestStreamedOutput:
     """expand and normalize write term by term, with the bytes of the whole."""

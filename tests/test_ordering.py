@@ -363,29 +363,66 @@ class TestNormalizeProperties:
         assert vars(system) == before
 
     def test_coefficients_outside_the_ring(self, reduce_randomly):
-        # cores are reduced packed in Z[q, 1/(1-q)]; the coefficients of the
-        # input scale them afterwards, whatever their denominators
-        rng = random.Random(18)
+        # normalize computes in Z[q, 1/(1-q)], where the rules lie, and
+        # refuses an input coefficient outside it; inside it, coefficients
+        # over any power of 1 - q and of either sign scale the normal form
         halves = RationalFunction(ONE, P((2,)))
         over_one_plus_q = RationalFunction(P((0, 3)), P((1, 1)))
+        in_ring = [xi(), over_one_minus_q((-1,), 3), qpow(5)]
+        rng = random.Random(18)
         for system in SYSTEMS.values():
+            for outside in (halves, over_one_plus_q):
+                p = word_poly("ab", xi()) + word_poly("cba", outside)
+                with pytest.raises(ValueError, match="not in Z"):
+                    normalize(p, system)
             for w1, w2 in zip(*[iter(_random_words(20, 6, seed=18))] * 2):
-                p = word_poly(w1, halves) + word_poly(w2, over_one_plus_q)
+                c1, c2 = rng.sample(in_ring, 2)
+                p = word_poly(w1, c1) + word_poly(w2, c2)
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
-    def test_normalize_widens_past_64_bits(self, reduce_randomly):
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The width W after each widening of any ``_Cores`` from now on."""
+        seen = []
+        widen = ordering._Cores.widen
+
+        def recording(cores, bound, terms):
+            rewidened = widen(cores, bound, terms)
+            seen.append(cores.bits)
+            return rewidened
+
+        monkeypatch.setattr(ordering._Cores, "widen", recording)
+        return seen
+
+    def test_normalize_widens_past_64_bits(self, widths, reduce_randomly):
         # ab -> (2^40 + q) ba: the normal form of a^3 b has a coefficient
         # of about 2^120, so the core must be reduced again at a wider width
         big = RationalFunction(P((2**40, 1)))
         rules = {**SYSTEM_A_C0.rules, "ab": NCPolynomial({"ba": big})}
         system = RelationSystem("big", "bca", rules)
-        cores = ordering._Cores(system)
-        assert cores.bits == 64
-        cores.decode("aaab")
-        assert cores.bits > 121
+        widths.clear()  # the overlap checks of the constructor widen too
         result = normalize(word_poly("aaab"), system)
+        assert widths[0] == 64
+        assert widths[-1] > 121
         assert result == NCPolynomial({"baaa": big * big * big})
         assert result == reduce_randomly(word_poly("aaab"), system, random.Random(19))
+
+    def test_wide_input_coefficient_is_packed_wider(self, widths, reduce_randomly):
+        # the coefficient 2^70 + q alone does not fit 64 bits
+        p = word_poly("ab", RationalFunction(P((2**70, 1))))
+        result = normalize(p, SYSTEM_A)
+        # one widening, by pack, before any core is reduced
+        assert len(widths) == 2
+        assert widths[0] == 64
+        assert widths[1] > 72
+        assert result == reduce_randomly(p, SYSTEM_A, random.Random(20))
+        assert result.coefficient("c") == RationalFunction(P((2**70, 1)))
+
+    def test_input_terms_cancel_to_zero(self, reduce_randomly):
+        # ab = q ba + c in System A
+        p = word_poly("ab") - word_poly("ba", qpow(1)) - word_poly("c")
+        assert normalize(p, SYSTEM_A) == NCPolynomial({})
+        assert reduce_randomly(p, SYSTEM_A, random.Random(21)) == NCPolynomial({})
 
     def test_degenerate_systems_drop_extra_terms(self):
         assert normalize(word_poly("ab"), SYSTEM_A_C0) == NCPolynomial({"ba": qpow(1)})
