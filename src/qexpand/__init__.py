@@ -3,7 +3,7 @@
 The package computes powers of sums of noncommuting generators a, b, c in
 two relation systems, both by closed-form coefficient families and by a
 brute-force normal-ordering oracle, and verifies that the routes agree
-exactly in the field of rational functions of q.
+exactly in the ring Z[q, 1/(1-q)].
 """
 
 from .exactarith import (

@@ -1,11 +1,11 @@
-"""Exact arithmetic in the field of rational functions of one variable q.
+"""Exact arithmetic in Z[q] and in the ring Z[q, 1/(1-q)].
 
 Two value types live here.  ``IntPolynomial`` is a dense univariate
 polynomial with arbitrary-precision integer coefficients, stored in
 ascending degree order with no trailing zero entry, so equal values always
-have identical representations.  ``RationalFunction`` is a quotient of two
-IntPolynomials kept fully reduced and sign-normalized, which makes equality
-a plain structural comparison.
+have identical representations.  ``RationalFunction`` is a value
+num/(q-1)**k of Z[q, 1/(1-q)] in a unique canonical form, which makes
+equality a plain structural comparison.
 
 The public ``IntPolynomial`` constructor checks every coefficient with
 ``operator.index`` and trims trailing zeros.  Internal operations build
@@ -32,15 +32,18 @@ Xeon, three runs): any crossover from 8 to 16 is within the noise of
 the fastest, 2 takes 23-83% longer, 32 or more 32-59% longer, and
 schoolbook alone 34-75% longer.
 
-Every canonical denominator the expansions produce is a power of (q-1), from
-xi = (q+q^2)/(1-q) and phi_2i = psi(i)/(1-q)^i.  When the denominator is
-+-(q-1)^k, normalisation divides the root q = 1 out of the numerator by
-synthetic division, at most k times; the result is already canonical, so
-no gcd, exact division or content step runs.  Sums over two powers of
-(q-1) use (q-1)^max as their common denominator.  Every other denominator
-goes through ``poly_gcd``, which the built-in routes no longer reach.
-``over_one_minus_q`` builds the canonical value cs/(1-q)^k from numerator
-coefficients, and ``one_minus_q_form`` takes it apart again.
+The only denominator the relations bring in is that of xi = (q+q^2)/(1-q),
+so every rule, every phi_beta and every coefficient of both expansions
+lies in Z[q, 1/(1-q)]; phi_2i = psi(i)/(1-q)^i, for example.  A
+``RationalFunction`` accepts a denominator only of the form +-(q-1)^k and
+raises ValueError for any other.  Normalisation divides the root q = 1
+out of the numerator by synthetic division, at most k times; since q - 1
+is prime in Z[q], the result is canonical with no gcd, exact division or
+content step.  Sums over two powers of (q-1) use (q-1)^max as their common
+denominator.  ``over_one_minus_q`` builds the canonical value cs/(1-q)^k
+from numerator coefficients, and ``one_minus_q_form`` takes it apart
+again.  ``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
+utilities; no route calls them.
 
 All values are immutable and every operation is a pure function, so values
 may be shared freely across threads and tasks.
@@ -368,27 +371,26 @@ def _q_minus_one_power(k: int) -> IntPolynomial:
 
 
 def _q_minus_one_exponent(cs: tuple[int, ...]) -> int:
-    """k when cs are the coefficients of +-(q-1)**k (ONE gives 0), else -1."""
-    if cs == (1,):
-        return 0
-    if sum(cs):  # every (q-1)**k with k >= 1 vanishes at q = 1
-        return -1
+    """k when cs are the coefficients of +-(q-1)**k (+-1 gives 0), else -1."""
     k = len(cs) - 1
-    lead = cs[-1]
-    # the two top coefficients of +-(q-1)**k are +-1 and -+k
-    if abs(lead) != 1 or cs[-2] != -k * lead:
+    if k < 0 or abs(cs[-1]) != 1:
         return -1
-    target = _q_minus_one_power(k).coeffs
-    if lead < 0:
+    # every (q-1)**k with k >= 1 vanishes at q = 1, and its two top
+    # coefficients are 1 and -k
+    if k and (sum(cs) or cs[-2] != -k * cs[-1]):
+        return -1
+    if cs[-1] < 0:
         cs = tuple(map(neg, cs))
-    return k if cs == target else -1
+    return k if cs == _q_minus_one_power(k).coeffs else -1
 
 
 def _divide_out_root_one(
     cs: tuple[int, ...], cap: int
 ) -> tuple[tuple[int, ...], int]:
     """(cs / (q-1)**j, j), where j is the multiplicity of the root q = 1 of
-    the nonzero polynomial cs, capped at ``cap``."""
+    the polynomial cs, capped at ``cap``; the zero polynomial has j = cap."""
+    if not cs:
+        return cs, cap
     j = 0
     while j < cap and not sum(cs):
         # synthetic division by q - 1: the running sums from the top are the
@@ -455,11 +457,12 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """A quotient num/den of integer polynomials in canonical reduced form.
+    """A value num/den of the ring Z[q, 1/(1-q)] in canonical form.
 
-    Canonical means: zero is 0/1, the polynomial gcd of num and den is
-    constant, num and den share no integer factor, and den has a positive
-    leading coefficient so any sign sits in the numerator.
+    The denominator given must be +-(q-1)**k with k >= 0; any other raises
+    ValueError.  Canonical means: den is (q-1)**k, with k = den.degree, and
+    q - 1 does not divide num when k > 0; zero is 0/1.  Since q - 1 is
+    prime in Z[q], this form is unique.
     """
 
     num: IntPolynomial = ZERO
@@ -467,35 +470,18 @@ class RationalFunction:
 
     def __post_init__(self) -> None:
         num, den = self.num, self.den
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        elif den.coeffs != (1,):
+        if den.coeffs != (1,):
             k = _q_minus_one_exponent(den.coeffs)
-            if k > 0:
-                # den is +-(q-1)**k: the gcd is (q-1)**j for the multiplicity
-                # j of the root 1 in num, and (q-1)**(k-j) is monic, content 1
-                if den.coeffs[-1] < 0:
-                    num = -num
-                cs, j = _divide_out_root_one(num.coeffs, k)
-                if j:
-                    num = IntPolynomial._raw(cs)
-                den = _q_minus_one_power(k - j)
-            else:
-                g = poly_gcd(num, den)
-                if g != ONE:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                shared = _int_gcd(num.content(), den.content())
-                if shared > 1:
-                    num = num._scale_div(shared)
-                    den = den._scale_div(shared)
-                if den.leading_coefficient() < 0:
-                    num = -num
-                    den = -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            if k < 0:
+                if den.is_zero():
+                    raise ZeroDivisionError("division by zero polynomial")
+                raise ValueError(f"({num})/({den}) is not in Z[q, 1/(1-q)]")
+            if den.coeffs[-1] < 0:
+                num = -num
+            # cancel the multiplicity j of the root q = 1 of num
+            cs, j = _divide_out_root_one(num.coeffs, k)
+            object.__setattr__(self, "num", IntPolynomial._raw(cs))
+            object.__setattr__(self, "den", _q_minus_one_power(k - j))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -507,16 +493,13 @@ class RationalFunction:
         self, other: RationalFunction
     ) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
         """Numerators of self and other over one common denominator, and it."""
-        den, other_den = self.den, other.den
-        if den.coeffs == other_den.coeffs:
-            return self.num, other.num, den
-        i = _q_minus_one_exponent(den.coeffs)
-        j = _q_minus_one_exponent(other_den.coeffs) if i >= 0 else -1
-        if j > i >= 0:
-            return self.num * _q_minus_one_power(j - i), other.num, other_den
-        if i > j >= 0:
-            return self.num, other.num * _q_minus_one_power(i - j), den
-        return self.num * other_den, other.num * den, den * other_den
+        # each den is (q-1)**k with k = den.degree: lift the lower power
+        lift = other.den.degree - self.den.degree
+        if not lift:
+            return self.num, other.num, self.den
+        if lift > 0:
+            return self.num * _q_minus_one_power(lift), other.num, other.den
+        return self.num, other.num * _q_minus_one_power(-lift), self.den
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
@@ -536,13 +519,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: RationalFunction) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def evaluate(self, point: complex) -> complex:
         """num(point)/den(point) in complex double precision.
@@ -588,11 +564,8 @@ def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
 
 
 def one_minus_q_form(value: RationalFunction) -> tuple[tuple[int, ...], int]:
-    """(cs, k) with value = cs / (1-q)^k, the inverse of over_one_minus_q;
-    ValueError unless value lies in Z[q, 1/(1-q)]."""
-    k = _q_minus_one_exponent(value.den.coeffs)
-    if k < 0:
-        raise ValueError(f"{value} is not in Z[q, 1/(1-q)]")
+    """(cs, k) with value = cs / (1-q)^k, the inverse of over_one_minus_q."""
+    k = value.den.degree
     cs = value.num.coeffs
     return (tuple([-c for c in cs]) if k % 2 else cs), k
 

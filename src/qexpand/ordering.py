@@ -32,9 +32,8 @@ call; the oracle pass in :mod:`qexpand.verify` shares one table across
 all of its steps, so each core is reduced once per pass.  No table
 outlives the call or the pass that made it.
 
-The engine computes in Z[q, 1/(1-q)], where every rule coefficient must
-lie (a system is refused otherwise) and every coefficient of the input
-of :func:`normalize` (ValueError otherwise), and packs each coefficient
+The engine computes in Z[q, 1/(1-q)], the ring of every
+:class:`~qexpand.exactarith.RationalFunction`, and packs each coefficient
 num/(1-q)^k by Kronecker substitution as a record (N, k, b): the integer
 N = num(2^W), the exponent k, and a bound b >= ||num||_1, the sum of the
 sizes of the coefficients of num.  Since q -> 2^W is a ring map from
@@ -127,13 +126,12 @@ class RelationSystem:
         if is_normal(pattern, self):
             raise ValueError(f"rule pattern {pattern!r} is already normal")
         bound = self.order_key(pattern)
-        for word, coeff in replacement.items():
+        for word, _ in replacement.items():
             if self.order_key(word) <= bound:
                 raise ValueError(
                     f"replacement word {word!r} does not shrink pattern "
                     f"{pattern!r} in the deglex order"
                 )
-            one_minus_q_form(coeff)  # ValueError outside Z[q, 1/(1-q)]
 
     def _check_overlap(self, word: str) -> None:
         rules = {pattern: r.items() for pattern, r in self.rules.items()}
@@ -257,8 +255,7 @@ class _Cores:
 
     def pack(self, p: NCPolynomial) -> dict:
         """The packed values of the terms of p, widening first if one of
-        their bounds does not fit; ValueError unless every coefficient of p
-        lies in Z[q, 1/(1-q)]."""
+        their bounds does not fit."""
         forms = {w: one_minus_q_form(c) for w, c in p.items()}
         bounds = {w: sum(map(abs, cs)) for w, (cs, _) in forms.items()}
         bound = max(bounds.values(), default=0)
@@ -352,8 +349,7 @@ def _normalize(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
 
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
-    normal words, extended linearly over the terms of p.  Every coefficient
-    of p must lie in Z[q, 1/(1-q)]; ValueError otherwise."""
+    normal words, extended linearly over the terms of p."""
     cores = _Cores(system)
     return _decode(_normalize(cores.pack(p), ("",), cores), cores.bits)
 

@@ -77,6 +77,7 @@ def _times_multinomial(
 
 def gaussian_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
     """The q-binomial [n, k] in base q**power; 0 unless 0 <= k <= n."""
+    _check_base(power)
     if k < 0 or k > n:
         return ZERO
     return IntPolynomial._raw(_times_multinomial(ONE.coeffs, k, n - k, 0, power))

@@ -17,12 +17,15 @@ def rf(num, den=(1,)):
 Q1 = rf((0, 1))
 
 words = st.text(alphabet="abc", max_size=4)
+# cs/±(q-1)^k, the values of Z[q, 1/(1-q)]
 small_coeffs = st.builds(
     RationalFunction,
     st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(lambda cs: P(tuple(cs))),
-    st.lists(st.integers(-5, 5), min_size=1, max_size=3)
-    .map(lambda cs: P(tuple(cs)))
-    .filter(lambda p: not p.is_zero()),
+    st.builds(
+        lambda sign, k: P((-1, 1)) ** k * sign,
+        st.sampled_from([1, -1]),
+        st.integers(0, 2),
+    ),
 )
 ncpolys = st.dictionaries(words, small_coeffs, max_size=5).map(NCPolynomial)
 

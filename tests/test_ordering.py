@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qexpand.exactarith import (
-    ONE,
     IntPolynomial,
     RF_ONE,
     RationalFunction,
@@ -95,12 +94,11 @@ class TestRelationSystem:
                 RelationSystem("bad", order, rule)
 
     def test_rule_coefficient_must_lie_in_the_ring(self):
-        # the engine packs every rule coefficient as num/(1-q)^k
+        # the engine packs every rule coefficient as num/(1-q)^k; a
+        # coefficient outside Z[q, 1/(1-q)] cannot even be built
         for den in ((2,), (1, 1)):
-            coeff = RationalFunction(P((1,)), P(den))
-            rules = {**SYSTEM_A_C0.rules, "ab": NCPolynomial({"ba": coeff})}
             with pytest.raises(ValueError, match="not in Z"):
-                RelationSystem("bad", "bca", rules)
+                RationalFunction(P((1,)), P(den))
 
     def test_rules_that_all_map_to_zero(self):
         zero = NCPolynomial()
@@ -363,18 +361,16 @@ class TestNormalizeProperties:
         assert vars(system) == before
 
     def test_coefficients_outside_the_ring(self, reduce_randomly):
-        # normalize computes in Z[q, 1/(1-q)], where the rules lie, and
-        # refuses an input coefficient outside it; inside it, coefficients
-        # over any power of 1 - q and of either sign scale the normal form
-        halves = RationalFunction(ONE, P((2,)))
-        over_one_plus_q = RationalFunction(P((0, 3)), P((1, 1)))
+        # normalize computes in Z[q, 1/(1-q)], where the rules lie; a
+        # coefficient outside it is refused when it is built, and inside it,
+        # coefficients over any power of 1 - q and of either sign scale the
+        # normal form
+        for num, den in (((1,), (2,)), ((0, 3), (1, 1))):
+            with pytest.raises(ValueError, match="not in Z"):
+                RationalFunction(P(num), P(den))
         in_ring = [xi(), over_one_minus_q((-1,), 3), qpow(5)]
         rng = random.Random(18)
         for system in SYSTEMS.values():
-            for outside in (halves, over_one_plus_q):
-                p = word_poly("ab", xi()) + word_poly("cba", outside)
-                with pytest.raises(ValueError, match="not in Z"):
-                    normalize(p, system)
             for w1, w2 in zip(*[iter(_random_words(20, 6, seed=18))] * 2):
                 c1, c2 = rng.sample(in_ring, 2)
                 p = word_poly(w1, c1) + word_poly(w2, c2)

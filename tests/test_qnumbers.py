@@ -9,9 +9,10 @@ import threading
 
 import pytest
 
-from qexpand import exactarith, qnumbers
+from qexpand import cli, exactarith, qnumbers
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZERO
-from qexpand.ordering import SYSTEM_A, SYSTEM_B
+from qexpand.freealgebra import NCPolynomial
+from qexpand.ordering import SYSTEM_A, SYSTEM_B, SYSTEMS, normalize
 from qexpand.qnumbers import (
     _odd_product,
     gaussian_binomial,
@@ -25,7 +26,7 @@ from qexpand.qnumbers import (
     theta_b,
     xi,
 )
-from qexpand.verify import expand_formula
+from qexpand.verify import expand_formula, expand_oracle, verify_recurrences
 
 P = IntPolynomial
 
@@ -108,6 +109,13 @@ class TestQBinomial:
             assert gaussian_binomial(3, -1, power) == ZERO
             assert gaussian_binomial(-1, 0, power) == ZERO
 
+    def test_rejects_bad_base(self):
+        # checked before the out-of-range zero, as q_int and q_factorial do
+        for power in (3, 0, -1):
+            for n, k in ((5, 2), (3, 5)):
+                with pytest.raises(ValueError, match="base power must be 1 or 2"):
+                    gaussian_binomial(n, k, power)
+
 
 class TestXi:
     def test_canonical_value(self):
@@ -164,13 +172,14 @@ class TestThetaA:
                     assert theta_a(alpha, beta, gamma) == rhs
 
     def test_beta_zero_is_gaussian_binomial(self):
-        # theta_a is built from gaussian_binomial, so compare with the quotient
+        # theta_a is built from q-integer steps, so compare with the quotient
+        # by long division
         for alpha in range(13):
             for gamma in range(13 - alpha):
-                quotient = RationalFunction(
-                    q_factorial(alpha + gamma), q_factorial(alpha) * q_factorial(gamma)
+                quotient = q_factorial(alpha + gamma).exact_div(
+                    q_factorial(alpha) * q_factorial(gamma)
                 )
-                assert theta_a(alpha, 0, gamma) == quotient
+                assert theta_a(alpha, 0, gamma) == RationalFunction(quotient)
 
     def test_polynomiality_observation(self):
         # a q-multinomial times an odd product: a polynomial by construction
@@ -280,15 +289,12 @@ class TestThetaB:
             for beta in range(9 - alpha):
                 for gamma in range(9 - alpha - beta):
                     n = alpha + beta + gamma
-                    plain = RationalFunction(
-                        q_factorial(n, 2),
+                    plain = q_factorial(n, 2).exact_div(
                         q_factorial(alpha, 2)
                         * q_factorial(beta, 2)
-                        * q_factorial(gamma, 2),
+                        * q_factorial(gamma, 2)
                     )
-                    assert plain == RationalFunction(
-                        q2_multinomial(alpha, beta, gamma)
-                    )
+                    assert plain == q2_multinomial(alpha, beta, gamma)
 
 
 class TestEvenOddIdentity:
@@ -312,44 +318,40 @@ def _even_product(beta):
 
 class TestQuotientDefinitions:
     """The product-built families against their quotient definitions, which
-    are reduced here by the general gcd route."""
+    are computed here by long division of polynomial products
+    (``IntPolynomial.exact_div``), independent of the q-integer steps."""
 
     def test_theta_a(self):
         for n in range(17):
             for beta in range(n // 2 + 1):
                 for alpha in range(n - 2 * beta + 1):
                     gamma = n - 2 * beta - alpha
-                    quotient = RationalFunction(
-                        q_factorial(n),
-                        q_factorial(alpha) * q_factorial(gamma) * _even_product(beta),
+                    quotient = q_factorial(n).exact_div(
+                        q_factorial(alpha) * q_factorial(gamma) * _even_product(beta)
                     )
                     value = theta_a(alpha, beta, gamma)
-                    assert (value.num, value.den) == (quotient.num, quotient.den)
+                    assert (value.num, value.den) == (quotient, ONE)
 
     def test_theta_b(self):
         for n in range(15):
             for beta in range(n + 1):
                 for alpha in range(n - beta + 1):
                     gamma = n - beta - alpha
-                    quotient = RationalFunction(
-                        q_factorial(n, 2),
+                    multinomial = q_factorial(n, 2).exact_div(
                         q_factorial(alpha, 2)
                         * q_factorial(beta, 2)
-                        * q_factorial(gamma, 2),
-                    ) * phi_recursive(beta)
+                        * q_factorial(gamma, 2)
+                    )
+                    quotient = RationalFunction(multinomial) * phi_recursive(beta)
                     value = theta_b(alpha, beta, gamma)
                     assert (value.num, value.den) == (quotient.num, quotient.den)
 
     def test_psi(self):
-        quotient = RF_ONE
+        quotient = ONE
         for i in range(1, 31):
-            quotient = (
-                quotient
-                * RationalFunction(q_int(2 * i - 1))
-                * RationalFunction(q_int(4 * i), q_int(2 * i))
-            )
+            quotient = quotient * q_int(2 * i - 1) * q_int(4 * i).exact_div(q_int(2 * i))
             value = psi(i)
-            assert (value.num, value.den) == (quotient.num, quotient.den)
+            assert (value.num, value.den) == (quotient, ONE)
 
 
 @pytest.fixture
@@ -365,9 +367,11 @@ def cold_qnumbers_caches():
         clear()
 
 
-def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
+def test_formula_route_divides_nothing(monkeypatch, capsys, cold_qnumbers_caches):
+    # nor does any other route: the CLI's checks, the oracle, the recurrences
+    # and the rewrite engine on every system
     def no_division(*args):
-        raise AssertionError("the formula route reached a polynomial division")
+        raise AssertionError("a route reached a polynomial division")
 
     monkeypatch.setattr(exactarith, "poly_gcd", no_division)
     monkeypatch.setattr(IntPolynomial, "exact_div", no_division)
@@ -375,6 +379,14 @@ def test_formula_route_divides_nothing(monkeypatch, cold_qnumbers_caches):
     expand_formula(SYSTEM_B, 12)
     for beta in range(31):
         phi_closed(beta)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert "error" not in capsys.readouterr().err
+    for system in (SYSTEM_A, SYSTEM_B):
+        assert expand_oracle(system, 8) == expand_formula(system, 8)
+        assert verify_recurrences(system, 6).failures == 0
+    for system in SYSTEMS.values():
+        for word in ("acab", "cbacba", "aabbcc"):
+            normalize(NCPolynomial.from_word(word), system)
 
 
 def test_chain_families_never_recurse():
