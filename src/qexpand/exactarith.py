@@ -32,17 +32,18 @@ Xeon, three runs): any crossover from 8 to 16 is within the noise of
 the fastest, 2 takes 23-83% longer, 32 or more 32-59% longer, and
 schoolbook alone 34-75% longer.
 
-The only denominator the relations bring in is that of xi = (q+q^2)/(1-q),
-so every rule, every phi_beta and every coefficient of both expansions
-lies in Z[q, 1/(1-q)]; phi_2i = psi(i)/(1-q)^i, for example.  A
-``RationalFunction`` accepts a denominator only of the form +-(q-1)^k and
-raises ValueError for any other.  Normalisation divides the root q = 1
-out of the numerator by synthetic division, at most k times; since q - 1
-is prime in Z[q], the result is canonical with no gcd, exact division or
-content step.  Sums over two powers of (q-1) use (q-1)^max as their common
-denominator.  ``over_one_minus_q`` builds the canonical value cs/(1-q)^k
-from numerator coefficients, and ``one_minus_q_form`` takes it apart
-again.  ``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
+The only denominator the relations bring in is that of ``xi`` =
+(q+q^2)/(1-q), defined here for both routes, so every rule, every
+phi_beta and every coefficient of both expansions lies in Z[q, 1/(1-q)];
+phi_2i = psi(i)/(1-q)^i, for example.  A ``RationalFunction`` accepts a
+denominator only of the form +-(q-1)^k and raises ValueError for any
+other.  Normalisation divides the root q = 1 out of the numerator by
+synthetic division, at most k times; since q - 1 is prime in Z[q], the
+result is canonical with no gcd, exact division or content step.  Sums
+over two powers of (q-1) use (q-1)^max as their common denominator.
+``over_one_minus_q`` builds the canonical value cs/(1-q)^k from
+numerator coefficients, and ``one_minus_q_form`` takes it apart again.
+``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
 utilities; no route calls them.
 
 All values are immutable and every operation is a pure function, so values
@@ -352,12 +353,6 @@ def times_q_int(cs: tuple[int, ...], m: int, s: int = 1) -> tuple[int, ...]:
     return q_ratio(cs, m * s, s)
 
 
-def div_q_int(cs: tuple[int, ...], m: int, s: int = 1) -> tuple[int, ...]:
-    """Coefficients of cs / [m] in base q^s: the product r = cs (1 - q^s),
-    then c_i = r_i + c_(i-ms).  ValueError unless [m] divides cs exactly."""
-    return q_ratio(cs, s, m * s)
-
-
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
 Q = IntPolynomial((0, 1))
@@ -568,6 +563,12 @@ def one_minus_q_form(value: RationalFunction) -> tuple[tuple[int, ...], int]:
     k = value.den.degree
     cs = value.num.coeffs
     return (tuple([-c for c in cs]) if k % 2 else cs), k
+
+
+@lru_cache(maxsize=None)
+def xi() -> RationalFunction:
+    """The structure constant -(1+q)^2/(q - 1/q), cleared to (q+q^2)/(1-q)."""
+    return over_one_minus_q((0, 1, 1), 1)
 
 
 RF_ZERO = RationalFunction()

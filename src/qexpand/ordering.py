@@ -26,11 +26,12 @@ Every pattern ``xy`` has rank(x) > rank(y), so a prefix of rank-0 letters
 and a suffix of top-rank letters are inert: no pattern starts inside the
 prefix or ends inside the suffix, and no rewrite of the rest reaches
 them.  Hence normalize(P·X·S) = P·normalize(X)·S for such a prefix P and
-suffix S, and :func:`normalize` reduces only the core X between them.  It
-keeps a table from each core to its reduction for the length of one
-call; the oracle pass in :mod:`qexpand.verify` shares one table across
-all of its steps, so each core is reduced once per pass.  No table
-outlives the call or the pass that made it.
+suffix S, and the engine reduces only the core X between them.  One pass
+computes the normal forms of p, p s, p s^2, ... for a sum s of letters,
+with one table from each core to its reduction for all of its steps, so
+each core is reduced once per pass; no table outlives its pass.
+:func:`normalize` is the first step of a pass with no letters.  This
+module is the whole oracle route: no other module sees a packed value.
 
 The engine computes in Z[q, 1/(1-q)], the ring of every
 :class:`~qexpand.exactarith.RationalFunction`, and packs each coefficient
@@ -53,8 +54,7 @@ step's bounds when the step ends, which covers every partial sum of the
 step because bounds only grow as terms are added.  When a bound reaches
 2^(W-1), the engine raises an internal overflow, re-encodes the step's
 input and the core table at a wider W (each value decoded and packed
-again) and redoes the step; :func:`normalize` is one such step, on the
-packed terms of its input.  The bounds do not depend on W, so the redone
+again) and redoes the step.  The bounds do not depend on W, so the redone
 work checks against the same bounds.  Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
@@ -64,7 +64,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .exactarith import (
     IntPolynomial,
@@ -74,9 +75,9 @@ from .exactarith import (
     kronecker_unpack,
     one_minus_q_form,
     over_one_minus_q,
+    xi,
 )
 from .freealgebra import GENERATORS, NCPolynomial, parse_word
-from .qnumbers import xi
 
 
 class RelationSystem:
@@ -211,8 +212,7 @@ def _add(terms: dict, word: str, n: int, k: int, b: int, bits: int) -> None:
 
 class _Cores:
     """The packed rules of one system and its table of core reductions, at
-    one width W = ``bits``; one instance serves one call of
-    :func:`normalize` or one oracle pass."""
+    one width W = ``bits``; one instance serves one :func:`_power_pass`."""
 
     def __init__(self, system: RelationSystem):
         self.system = system
@@ -318,6 +318,9 @@ def _decode(terms: dict, bits: int) -> NCPolynomial:
 
 
 def _normalize_step(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
+    """The packed normal form of the sum of terms[w] * w x over the words w
+    of the packed values ``terms`` and the strings x of ``suffixes``, zero
+    terms dropped; _Overflow when a bound reaches 2^(W-1)."""
     system = cores.system
     first, last = system.normal_order[0], system.normal_order[-1]
     bits = cores.bits
@@ -334,24 +337,44 @@ def _normalize_step(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict
     return {w: v for w, v in total.items() if v[0]}
 
 
-def _normalize(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
-    """The packed normal form of the sum of terms[w] * w x over the words w
-    of the packed values ``terms`` and the strings x of ``suffixes``, at
-    the width ``cores.bits`` has when it returns.  Zero terms are dropped.
-    When a bound overflows, ``terms`` and the table are re-encoded wider
-    and the product is normalised again."""
+def _power_pass(
+    p: NCPolynomial, letters: str, system: RelationSystem
+) -> Iterator[tuple[dict, int]]:
+    """The packed normal forms of p, p s, p s^2, ... and their widths, s the
+    sum of the letters: each step appends every letter to every word of the
+    last.  A step that overflows is redone on its input re-encoded wider."""
+    cores = _Cores(system)
+    terms, suffixes = cores.pack(p), ("",)
     while True:
         try:
-            return _normalize_step(terms, suffixes, cores)
+            terms = _normalize_step(terms, suffixes, cores)
         except _Overflow as err:
             terms = cores.widen(err.bound, terms)
+            continue
+        yield terms, cores.bits
+        suffixes = letters
+
+
+def normal_powers(
+    p: NCPolynomial, letters: str, system: RelationSystem
+) -> Iterator[NCPolynomial]:
+    """The normal forms of p, p s, p s^2, ... without end, s the sum of the
+    letters, from one pass that decodes every step."""
+    return (_decode(terms, bits) for terms, bits in _power_pass(p, letters, system))
+
+
+def normal_power(
+    p: NCPolynomial, letters: str, n: int, system: RelationSystem
+) -> NCPolynomial:
+    """The normal form of p s^n, s the sum of the letters, from one pass
+    that decodes only its last step."""
+    return _decode(*next(islice(_power_pass(p, letters, system), n, None)))
 
 
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:
     """The normal form of p: every word rewritten to a combination of
     normal words, extended linearly over the terms of p."""
-    cores = _Cores(system)
-    return _decode(_normalize(cores.pack(p), ("",), cores), cores.bits)
+    return normal_power(p, "", 0, system)
 
 
 _Q1 = RationalFunction(IntPolynomial((0, 1)))

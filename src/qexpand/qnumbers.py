@@ -25,9 +25,8 @@ from .exactarith import (
     over_one_minus_q,
     q_ratio,
     times_q_int,
+    xi,  # re-exported: qnumbers.xi names the constant of exactarith
 )
-
-_ONE_MINUS_Q = IntPolynomial((1, -1))
 
 
 def _check_base(power: int) -> None:
@@ -100,12 +99,6 @@ def _odd_product(beta: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def xi() -> RationalFunction:
-    """The structure constant -(1+q)^2/(q - 1/q), cleared to (q+q^2)/(1-q)."""
-    return RationalFunction(IntPolynomial((0, 1, 1)), _ONE_MINUS_Q)
-
-
-@lru_cache(maxsize=None)
 def theta_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
     """Coefficient of b^alpha c^beta a^gamma in the system-A expansion.
 
@@ -138,7 +131,8 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
 
 # (b, N_(b-1), N_b) for the last index phi_recursive reached; a call at a
 # larger index runs on from there, so calls in increasing beta cost one step
-# each.  The tuple is replaced whole, so a reader never sees a torn state.
+# each.  The tuple is replaced whole and read once per call, so a reader
+# never sees a torn state.
 _phi_last = (1, ONE, ONE)
 
 
@@ -154,7 +148,8 @@ def phi_recursive(beta: int) -> RationalFunction:
     global _phi_last
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    b, older, old = _phi_last if _phi_last[0] <= beta else (1, ONE, ONE)
+    last = _phi_last
+    b, older, old = last if last[0] <= beta else (1, ONE, ONE)
     while b < beta:
         b += 1
         head = old - IntPolynomial._raw((0,) + old.coeffs) if b % 2 == 0 else old

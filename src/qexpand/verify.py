@@ -7,10 +7,9 @@ points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
 limits, and a numeric specialization at complex points on the unit circle.
 
-The oracle pass keeps every coefficient packed as one integer (see
-:mod:`qexpand.ordering`) and decodes only the steps that a caller
-returns: :func:`expand_oracle` its last, :func:`verify_expansions`
-every one.
+The oracle route is :mod:`qexpand.ordering` alone, and it hands back
+decoded ``NCPolynomial`` values only: every step of one pass to
+:func:`verify_expansions`, and the last step alone to :func:`expand_oracle`.
 
 The formula route walks each row of fixed beta: neighbouring coefficients
 differ by a ratio of q-integers, so each costs one O(degree) step of
@@ -41,6 +40,7 @@ from .exactarith import (
     over_one_minus_q,
     q_ratio,
     times_q_int,
+    xi,
 )
 from .freealgebra import NCPolynomial, word_sort_key
 from .ordering import (
@@ -49,9 +49,8 @@ from .ordering import (
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
-    _Cores,
-    _decode,
-    _normalize,
+    normal_power,
+    normal_powers,
 )
 from .qnumbers import (
     gaussian_binomial,
@@ -61,7 +60,6 @@ from .qnumbers import (
     q_int,
     theta_a,
     theta_b,
-    xi,
 )
 
 
@@ -253,31 +251,13 @@ def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
     return NCPolynomial(_walk(system, n))
 
 
-def _oracle_pass(system: RelationSystem, max_n: int) -> Iterator[tuple[dict, int]]:
-    """The oracle expansions for n = 1, ..., max_n in one pass, each as the
-    arguments of :func:`~qexpand.ordering._decode`: its packed values and
-    their width.  Each step appends every generator of the sum to every
-    word of the previous step and normal-orders the result.  One table of
-    core reductions serves every step, so each word core is reduced once
-    per pass."""
-    start = base_sum(system)
-    letters = "".join(start.words())
-    cores = _Cores(system)
-    expansion = cores.pack(start)
-    yield expansion, cores.bits
-    for _ in range(max_n - 1):
-        expansion = _normalize(expansion, letters, cores)
-        yield expansion, cores.bits
-
-
 def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
     """The degree-n expansion computed by brute force: multiply the sum of
     generators left to right, normal-ordering after every multiplication."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for expansion in _oracle_pass(system, n):
-        pass
-    return _decode(*expansion)
+    s = base_sum(system)
+    return normal_power(s, "".join(s.words()), n - 1, system)
 
 
 def _pairs(
@@ -309,11 +289,12 @@ def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionRepor
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     reports = []
-    oracle_steps = _oracle_pass(system, max_n)
+    s = base_sum(system)
+    oracle_steps = normal_powers(s, "".join(s.words()), system)
     for n in range(1, max_n + 1):
         start = time.perf_counter()
         formula = expand_formula(system, n)
-        oracle = _decode(*next(oracle_steps))
+        oracle = next(oracle_steps)
         mismatches = _compare(formula, oracle)
         duration = int((time.perf_counter() - start) * 1000)
         reports.append(

@@ -18,12 +18,12 @@ from qexpand.exactarith import (
     RF_ZERO,
     RationalFunction,
     ZERO,
-    div_q_int,
     kronecker_pack,
     kronecker_unpack,
     one_minus_q_form,
     over_one_minus_q,
     poly_gcd,
+    q_ratio,
     times_q_int,
 )
 from qexpand import exactarith
@@ -133,7 +133,8 @@ bases = st.sampled_from([1, 2])
 
 
 class TestQIntegerSteps:
-    """Times and divide by [m] in base q^s, against multiplication by [m]."""
+    """Times [m] in base q^s, and divide by it as the ratio
+    (1 - q^s)/(1 - q^(ms)), against multiplication by [m]."""
 
     @given(polys, st.integers(0, 12), bases)
     def test_times_is_the_product(self, c, m, s):
@@ -141,16 +142,16 @@ class TestQIntegerSteps:
 
     @given(polys, st.integers(1, 12), bases)
     def test_divide_undoes_the_product(self, c, m, s):
-        assert div_q_int((c * q_int(m, s)).coeffs, m, s) == c.coeffs
+        assert q_ratio((c * q_int(m, s)).coeffs, s, m * s) == c.coeffs
 
     @given(polys, st.integers(2, 12), bases)
     def test_divide_rejects_a_non_multiple(self, c, m, s):
         with pytest.raises(ValueError):
-            div_q_int((c * q_int(m, s) + ONE).coeffs, m, s)
+            q_ratio((c * q_int(m, s) + ONE).coeffs, s, m * s)
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            div_q_int((1, 1), 0)
+            q_ratio((1, 1), 1, 0)
 
     def test_no_product_or_division_runs(self, monkeypatch):
         def forbidden(*args):
@@ -160,7 +161,7 @@ class TestQIntegerSteps:
         monkeypatch.setattr(exactarith, "_kronecker", forbidden)
         monkeypatch.setattr(exactarith, "poly_gcd", forbidden)
         monkeypatch.setattr(IntPolynomial, "exact_div", forbidden)
-        assert div_q_int(times_q_int(c, 30, 2), 30, 2) == c
+        assert q_ratio(times_q_int(c, 30, 2), 2, 30 * 2) == c
 
 
 class TestPolyGcd:

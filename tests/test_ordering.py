@@ -2,6 +2,7 @@
 
 import copy
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -25,9 +26,12 @@ from qexpand.ordering import (
     SYSTEMS,
     RelationSystem,
     is_normal,
+    normal_power,
+    normal_powers,
     normalize,
 )
 from qexpand.qnumbers import q_int, xi
+from qexpand.verify import base_sum, expand_formula
 
 P = IntPolynomial
 
@@ -292,6 +296,21 @@ def _random_words(count, max_len, seed):
     ]
 
 
+@pytest.fixture
+def widths(monkeypatch):
+    """The width W after each widening of any ``_Cores`` from now on."""
+    seen = []
+    widen = ordering._Cores.widen
+
+    def recording(cores, bound, terms):
+        rewidened = widen(cores, bound, terms)
+        seen.append(cores.bits)
+        return rewidened
+
+    monkeypatch.setattr(ordering._Cores, "widen", recording)
+    return seen
+
+
 class TestNormalizeProperties:
     def test_idempotent(self):
         for word in _random_words(60, 6, seed=11):
@@ -376,20 +395,6 @@ class TestNormalizeProperties:
                 p = word_poly(w1, c1) + word_poly(w2, c2)
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
-    @pytest.fixture
-    def widths(self, monkeypatch):
-        """The width W after each widening of any ``_Cores`` from now on."""
-        seen = []
-        widen = ordering._Cores.widen
-
-        def recording(cores, bound, terms):
-            rewidened = widen(cores, bound, terms)
-            seen.append(cores.bits)
-            return rewidened
-
-        monkeypatch.setattr(ordering._Cores, "widen", recording)
-        return seen
-
     def test_normalize_widens_past_64_bits(self, widths, reduce_randomly):
         # ab -> (2^40 + q) ba: the normal form of a^3 b has a coefficient
         # of about 2^120, so the core must be reduced again at a wider width
@@ -425,3 +430,79 @@ class TestNormalizeProperties:
         assert normalize(word_poly("ac"), SYSTEM_B_XI0) == NCPolynomial(
             {"ca": qpow(2)}
         )
+
+
+def _letters(system):
+    return "".join(base_sum(system).words())
+
+
+class TestPowerPass:
+    def test_steps_are_normal_forms_of_the_products(self, reduce_randomly):
+        # p s^n for a random p, against the products normalised one by one
+        rng = random.Random(22)
+        for system in SYSTEMS.values():
+            words = _random_words(4, 5, seed=rng.randrange(1000))
+            p = NCPolynomial((w, qpow(i)) for i, w in enumerate(words))
+            s = base_sum(system)
+            steps = list(islice(normal_powers(p, _letters(system), system), 4))
+            assert steps[0] == normalize(p, system)
+            product = p
+            for n, step in enumerate(steps):
+                assert step == reduce_randomly(product, system, rng)
+                assert step == normal_power(p, _letters(system), n, system)
+                product = product * s
+
+    def test_without_letters_only_the_first_step_is_nonzero(self):
+        p = word_poly("acab")
+        steps = normal_powers(p, "", SYSTEM_A)
+        assert next(steps) == normalize(p, SYSTEM_A)
+        assert next(steps) == NCPolynomial({})
+
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError):
+            normal_power(word_poly("ab"), "ab", -1, SYSTEM_A)
+
+    def test_oracle_pass_reduces_each_core_once(self, monkeypatch, reduce_randomly):
+        reduced = []
+        reduce_word = ordering._reduce_word
+
+        def recording(word, cores):
+            reduced.append(word)
+            return reduce_word(word, cores)
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        rng = random.Random(17)
+        for system in (SYSTEM_A, SYSTEM_B):
+            reduced.clear()
+            s = base_sum(system)
+            steps = list(islice(normal_powers(s, _letters(system), system), 10))
+            assert len(reduced) == len(set(reduced))
+            products = [previous * s for previous in steps[:-1]]
+            assert len(reduced) < sum(len(product) for product in products)
+            for product, step in zip(products, steps[1:]):
+                assert step == reduce_randomly(product, system, rng)
+
+    def test_oracle_widens_past_64_bits(self, widths):
+        # the coefficients of (a+b)^40 in System A need 91 bits
+        s = base_sum(SYSTEM_A)
+        result = normal_power(s, _letters(SYSTEM_A), 39, SYSTEM_A)
+        assert widths[-1] > 91
+        assert result == expand_formula(SYSTEM_A, 40)
+
+    def test_oracle_adds_over_different_powers_of_one_minus_q(self, monkeypatch):
+        # in System B a word reached through more xi rewrites carries a
+        # higher power of 1/(1-q); such sums lift the other term to it
+        mixed = []
+        add = ordering._add
+
+        def recording(terms, word, n, k, b, bits):
+            if word in terms and terms[word][1] != k:
+                mixed.append(word)
+            add(terms, word, n, k, b, bits)
+
+        monkeypatch.setattr(ordering, "_add", recording)
+        s = base_sum(SYSTEM_B)
+        assert normal_power(s, _letters(SYSTEM_B), 9, SYSTEM_B) == expand_formula(
+            SYSTEM_B, 10
+        )
+        assert mixed

@@ -412,15 +412,25 @@ def test_gaussian_binomial_past_the_recursion_limit(cold_qnumbers_caches, n, k, 
     assert gaussian_binomial(n, k, power) == q_int(n, power)
 
 
-def test_pascal_table_is_thread_safe(cold_qnumbers_caches):
-    cases = [(n, k, p) for p in (1, 2) for n in range(26) for k in range(n + 1)]
-    expected = [gaussian_binomial(*case) for case in cases]
+def test_families_are_thread_safe(cold_qnumbers_caches, monkeypatch):
+    # gaussian_binomial is stateless; phi_recursive runs on from the last
+    # index any call reached, the one module-level state of qnumbers, so
+    # shuffled orders make it start over and run on across threads
+    cases = [
+        (gaussian_binomial, (n, k, p))
+        for p in (1, 2)
+        for n in range(26)
+        for k in range(n + 1)
+    ]
+    cases += [(phi_recursive, (beta,)) for beta in range(40)]
+    expected = [family(*args) for family, args in cases]
+    monkeypatch.setattr(qnumbers, "_phi_last", (1, ONE, ONE))
     results = {}
 
     def work(seed):
         order = list(range(len(cases)))
         random.Random(seed).shuffle(order)
-        results[seed] = {i: gaussian_binomial(*cases[i]) for i in order}
+        results[seed] = {i: cases[i][0](*cases[i][1]) for i in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -4,21 +4,19 @@ import cmath
 import dataclasses
 import hashlib
 import json
-import random
 
 import pytest
 
 import qexpand
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RF_ZERO, RationalFunction
 from qexpand.freealgebra import NCPolynomial
-from qexpand import ordering, qnumbers, verify
+from qexpand import qnumbers, verify
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
     SYSTEM_B,
     SYSTEM_B_XI0,
     RelationSystem,
-    _decode,
     is_normal,
 )
 from qexpand.qnumbers import phi_closed, q_int, theta_a
@@ -26,7 +24,6 @@ from qexpand.verify import (
     SPECS,
     Mismatch,
     _indices,
-    _oracle_pass,
     base_sum,
     eval_at_root,
     expand_formula,
@@ -177,47 +174,6 @@ class TestVerifyExpansions:
             reports = verify_expansions(system, 6)
             for n in range(1, 7):
                 assert reports[n - 1].oracle_terms == expand_oracle(system, n)
-
-    def test_oracle_pass_reduces_each_core_once(self, monkeypatch, reduce_randomly):
-        reduced = []
-        reduce_word = ordering._reduce_word
-
-        def recording(word, cores):
-            reduced.append(word)
-            return reduce_word(word, cores)
-
-        monkeypatch.setattr(ordering, "_reduce_word", recording)
-        rng = random.Random(17)
-        for system in (SYSTEM_A, SYSTEM_B):
-            reduced.clear()
-            steps = [_decode(*step) for step in _oracle_pass(system, 10)]
-            assert len(reduced) == len(set(reduced))
-            s = base_sum(system)
-            products = [previous * s for previous in steps[:-1]]
-            assert len(reduced) < sum(len(product) for product in products)
-            for product, step in zip(products, steps[1:]):
-                assert step == reduce_randomly(product, system, rng)
-
-    def test_oracle_widens_past_64_bits(self):
-        # the coefficients of (a+b)^40 in System A need 91 bits
-        *_, (terms, bits) = _oracle_pass(SYSTEM_A, 40)
-        assert bits > 91
-        assert _decode(terms, bits) == expand_formula(SYSTEM_A, 40)
-
-    def test_oracle_adds_over_different_powers_of_one_minus_q(self, monkeypatch):
-        # in System B a word reached through more xi rewrites carries a
-        # higher power of 1/(1-q); such sums lift the other term to it
-        mixed = []
-        add = ordering._add
-
-        def recording(terms, word, n, k, b, bits):
-            if word in terms and terms[word][1] != k:
-                mixed.append(word)
-            add(terms, word, n, k, b, bits)
-
-        monkeypatch.setattr(ordering, "_add", recording)
-        assert expand_oracle(SYSTEM_B, 10) == expand_formula(SYSTEM_B, 10)
-        assert mixed
 
     def test_oracle_output_is_pinned(self):
         # digests of the serialised expansions, computed before the rewrite
