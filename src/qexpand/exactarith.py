@@ -21,16 +21,16 @@ and Gerhard, *Modern Computer Algebra*, section 8.4): both operands are
 packed into one integer, their values at q = 2**W, multiplied by
 CPython's Karatsuba, and unpacked.  One byte-aligned codec serves this
 product and the rewrite engine of :mod:`qexpand.ordering`, which keeps its
-coefficients packed for a whole pass: ``kronecker_pack`` and
-``kronecker_unpack`` (balanced base-2**W digits, valid while every
-coefficient lies in [-2**(W-1), 2**(W-1))).  The crossover of 16 was
-first measured over products that the rewrite oracle made, and it no
-longer makes any.  It was measured again over the 2964 products without
-a monomial operand that remain in ``verify --suite all`` and ``verify
---suite recurrences --bound 16`` (CPython 3.11.7, shared 2-core x86_64
-Xeon, three runs): any crossover from 8 to 16 is within the noise of
-the fastest, 2 takes 23-83% longer, 32 or more 32-59% longer, and
-schoolbook alone 34-75% longer.
+coefficients packed for a whole pass: ``kronecker_pack``,
+``kronecker_respace`` (to a wider W, by strided copies of byte columns)
+and ``kronecker_unpack`` (reading 64-bit limbs with ``array``), on
+balanced base-2**W digits, W a multiple of 8, valid while every
+coefficient lies in [-2**(W-1), 2**(W-1)).  The crossover of 16 was
+measured again with this codec over the 2964 products without a monomial
+operand that ``verify --suite all`` and ``verify --suite recurrences
+--bound 16`` make (CPython 3.11.7, shared 2-core x86_64 Xeon, three sets
+of runs): 16 was within 2% of the fastest in each, 12 and 24 within 8%;
+8 took 1-26% longer, 4 8-24%, 32 10-16%, 2 33-48%, schoolbook 22-31%.
 
 The only denominator the relations bring in is that of ``xi`` =
 (q+q^2)/(1-q), defined here for both routes, so every rule, every
@@ -52,6 +52,8 @@ may be shared freely across threads and tasks.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -293,23 +295,60 @@ def kronecker_pack(cs: Sequence[int], bits: int) -> int:
     return int.from_bytes(digits, "little") - _bias(len(cs), bits)
 
 
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # top byte -> its sign extension
+
+
+def _respaced_digits(value: int, old: int, new: int) -> bytes:
+    """The balanced base-2**old digits of ``value`` as little-endian new-bit
+    two's complements (multiples of 8, new >= old): one ``(v + B) ^ B``, B
+    the bias at ``old``, then one strided slice assignment per byte column,
+    the sign byte filling the new top bytes.  A polynomial of d coefficients
+    in [-2**(old-1), 2**(old-1)) has a value at least 2**(old*(d-1)) / 3 in
+    size, so d <= ``count``."""
+    src, dst, count = old // 8, new // 8, abs(value).bit_length() // old + 2
+    bias = _bias(count, old)
+    data = ((value + bias) ^ bias).to_bytes(count * src, "little")
+    if dst == src:
+        return data
+    out = bytearray(count * dst)
+    for j in range(src):
+        out[j::dst] = data[j::src]
+    sign = data[src - 1 :: src].translate(_SIGN_FILL)
+    for j in range(src, dst):
+        out[j::dst] = sign
+    return out
+
+
+def kronecker_respace(value: int, old: int, new: int) -> int:
+    """The value at q = 2**new of the polynomial whose value at q = 2**old
+    is ``value``, for multiples of 8 with new >= old; every coefficient
+    must lie in [-2**(old-1), 2**(old-1)), which the caller must know from
+    a bound.  The digits move as bytes, in O(new/8) Python operations."""
+    data = _respaced_digits(value, old, new)
+    bias = _bias(len(data) * 8 // new, new)
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
 def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
     """The coefficients, with no trailing zero, of the polynomial whose
     value at q = 2**bits is ``value``: its balanced base-2**bits digits.
 
     The result is that polynomial only when each of its coefficients lies
     in [-2**(bits-1), 2**(bits-1)); the caller must know this from a bound.
-    Then a polynomial of d coefficients has a value at least
-    2**(bits*(d-1)) / 3 in size, so d <= value.bit_length() // bits + 2,
-    the ``count`` of digits read below.
+    The digits are re-spaced to the next multiple W of 64 bits as
+    little-endian two's complements, and ``array`` reads them as W/64
+    64-bit limbs each (swapped on a big-endian machine): the top limb
+    signed, the lower ones unsigned, joined by ``h << 64 | l``.
     """
-    width, half = bits // 8, 1 << (bits - 1)
-    count = abs(value).bit_length() // bits + 2
-    data = (value + _bias(count, bits)).to_bytes(count * width, "little")
-    out = [
-        int.from_bytes(data[i : i + width], "little") - half
-        for i in range(0, count * width, width)
-    ]
+    limbs = -(-bits // 64)
+    data = _respaced_digits(value, bits, 64 * limbs)
+    words = array("q", data), array("Q", data)
+    if sys.byteorder == "big":
+        for a in words:
+            a.byteswap()
+    out = words[0][limbs - 1 :: limbs].tolist()
+    for j in range(limbs - 2, -1, -1):
+        out = [h << 64 | l for h, l in zip(out, words[1][j::limbs].tolist())]
     while out and not out[-1]:
         out.pop()
     return tuple(out)

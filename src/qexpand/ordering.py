@@ -52,10 +52,11 @@ num = 0.  Every decode and every zero test is made only under that
 check: each pending word's bound is checked when it is popped, and a
 step's bounds when the step ends, which covers every partial sum of the
 step because bounds only grow as terms are added.  When a bound reaches
-2^(W-1), the engine raises an internal overflow, re-encodes the step's
-input and the core table at a wider W (each value decoded and packed
-again) and redoes the step.  The bounds do not depend on W, so the redone
-work checks against the same bounds.  Decoded results are built by
+2^(W-1), the engine raises an internal overflow, re-spaces the step's
+input and the core table to a wider W (each value's digits copied by
+:func:`~qexpand.exactarith.kronecker_respace`, with no decode) and
+redoes the step.  The bounds do not depend on W, so the redone work
+checks against the same bounds.  Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
 """
@@ -72,6 +73,7 @@ from .exactarith import (
     RF_ONE,
     RationalFunction,
     kronecker_pack,
+    kronecker_respace,
     kronecker_unpack,
     one_minus_q_form,
     over_one_minus_q,
@@ -236,22 +238,20 @@ class _Cores:
         old = self.bits
         need = bound.bit_length() + 1
         self.bits = bits = max(_START_BITS, 8 * ((need + need // 8) // 8 + 1))
-
-        def rewiden(n: int) -> int:
-            return kronecker_pack(kronecker_unpack(n, old), bits)
-
         self.rules = {
             pattern: [(w, _factor(c, bits)) for w, c in replacement.items()]
             for pattern, replacement in self.system.rules.items()
         }
         self.table = {
             core: [
-                (w, (shift // old * bits, rewiden(r), k, b))
+                (w, (shift // old * bits, kronecker_respace(r, old, bits), k, b))
                 for w, (shift, r, k, b) in reduced
             ]
             for core, reduced in self.table.items()
         }
-        return {w: (rewiden(n), k, b) for w, (n, k, b) in terms.items()}
+        return {
+            w: (kronecker_respace(n, old, bits), k, b) for w, (n, k, b) in terms.items()
+        }
 
     def pack(self, p: NCPolynomial) -> dict:
         """The packed values of the terms of p, widening first if one of

@@ -19,6 +19,7 @@ from qexpand.exactarith import (
     RationalFunction,
     ZERO,
     kronecker_pack,
+    kronecker_respace,
     kronecker_unpack,
     one_minus_q_form,
     over_one_minus_q,
@@ -198,10 +199,10 @@ class TestPolyGcd:
 
 @st.composite
 def packable(draw):
-    """(bits, coefficients): a byte-aligned width and a coefficient tuple
-    with no trailing zero, every entry in [-2**(bits-1), 2**(bits-1)) and
-    the edge values drawn often."""
-    bits = 8 * draw(st.integers(1, 20))
+    """(bits, coefficients): a byte-aligned width up to five 64-bit limbs
+    and a coefficient tuple with no trailing zero, every entry in
+    [-2**(bits-1), 2**(bits-1)) and the edge values drawn often."""
+    bits = 8 * draw(st.integers(1, 40))
     half = 1 << (bits - 1)
     edges = st.sampled_from((-half, -(half - 1), half - 1, -1, 0, 1))
     cs = draw(st.lists(st.one_of(edges, st.integers(-half, half - 1)), max_size=12))
@@ -218,12 +219,38 @@ class TestKroneckerCodec:
         assert packed == sum(c << (bits * i) for i, c in enumerate(cs))
         assert kronecker_unpack(packed, bits) == cs
 
+    @given(packable(), st.integers(0, 40))
+    def test_respace_is_the_pack_at_the_new_width(self, case, extra):
+        bits, cs = case
+        new = bits + 8 * extra
+        spaced = kronecker_respace(kronecker_pack(cs, bits), bits, new)
+        assert spaced == kronecker_pack(cs, new)
+        assert kronecker_unpack(spaced, new) == cs
+
     def test_edges(self):
-        for bits in (8, 64, 72):
+        for bits in (8, 56, 64, 72, 128, 136, 192):
             half = 1 << (bits - 1)
             for cs in ((-half,), (half - 1,), (-half, half - 1, -half), (0, 0, -half)):
                 assert kronecker_unpack(kronecker_pack(cs, bits), bits) == cs
-        assert kronecker_unpack(0, 64) == ()
+            assert kronecker_unpack(0, bits) == ()
+
+    def test_distinct_bytes_keep_their_places(self):
+        # below its zero top byte every digit has bytes found in no other
+        # place, and the signs alternate, so a swapped limb, a reversed byte
+        # order or a lost sign changes the result
+        for bits in (64, 128, 136, 192):
+            width = bits // 8 - 1  # the top byte stays clear of the sign bit
+            data = bytes(range(1, 1 + 3 * width))
+            cs = tuple(
+                (-1) ** i * int.from_bytes(data[i * width : (i + 1) * width], "little")
+                for i in range(3)
+            )
+            value = sum(c << (bits * i) for i, c in enumerate(cs))
+            assert kronecker_pack(cs, bits) == value
+            assert kronecker_unpack(value, bits) == cs
+            assert kronecker_respace(value, bits, bits + 56) == sum(
+                c << ((bits + 56) * i) for i, c in enumerate(cs)
+            )
 
     def test_product_of_images_is_image_of_product(self):
         # q -> 2**bits is a ring map, so the packed product decodes to the
