@@ -17,10 +17,22 @@ of two-letter rules are overlaps ``xyz`` of patterns ``xy`` and ``yz``;
 the check normalises both one-step rewrites of each overlap and requires
 the results to agree.  By Bergman's diamond lemma ("The diamond lemma for
 ring theory", 1978) every word of a system that passes these checks has a
-unique normal form, whatever pairs are rewritten in whatever order.  Word
-reduction rewrites the leftmost out-of-order pair and pops the
-deglex-largest pending word first, so each word is processed once, after
-every word that can produce it.
+unique normal form, whatever pairs are rewritten in whatever order.
+
+Word reduction uses that freedom: it works by insertion.  A word u y x v
+whose leftmost out-of-order pair is yx is rewritten there once, to a sum
+of terms f u w v; since u is normal, each term is reduced by appending
+the letters of w v to u one at a time, normalising after each.  So every
+word the reduction needs (through the table of its core, below) is a
+normal word N followed by one letter l.
+These needs have no cycle: N l is strictly deglex-smaller than the word
+being reduced.  N is a word of the normal form of a prefix P of u w v,
+so N <= P, and N l <= P l, which is again a prefix of u w v; a proper
+prefix is shorter, and u w v itself is smaller than u y x v because the
+rule shrinks in deglex.  Since deglex is a well-order, the reduction
+ends.  The needs of one word may nest as deep as the word is long, so
+they are walked on an explicit stack of suspended reductions, not by
+recursion.
 
 Every pattern ``xy`` has rank(x) > rank(y), so a prefix of rank-0 letters
 and a suffix of top-rank letters are inert: no pattern starts inside the
@@ -28,8 +40,9 @@ prefix or ends inside the suffix, and no rewrite of the rest reaches
 them.  Hence normalize(P·X·S) = P·normalize(X)·S for such a prefix P and
 suffix S, and the engine reduces only the core X between them.  One pass
 computes the normal forms of p, p s, p s^2, ... for a sum s of letters,
-with one table from each core to its reduction for all of its steps, so
-each core is reduced once per pass; no table outlives its pass.
+with one table from each core to its reduction for all of its steps and
+for the insertions within each reduction, so each core is reduced once
+per pass; no table outlives its pass.
 :func:`normalize` is the first step of a pass with no letters.  This
 module is the whole oracle route: no other module sees a packed value.
 
@@ -49,24 +62,26 @@ monomial factor costs a shift.  Every coefficient of num is at most
 N are exactly the coefficients of num (see
 :func:`~qexpand.exactarith.kronecker_unpack`), and N = 0 exactly when
 num = 0.  Every decode and every zero test is made only under that
-check: each pending word's bound is checked when it is popped, and a
-step's bounds when the step ends, which covers every partial sum of the
-step because bounds only grow as terms are added.  When a bound reaches
-2^(W-1), the engine raises an internal overflow, re-spaces the step's
-input and the core table to a wider W (each value's digits copied by
+check: the bounds of a step, and of the sum that ends a core's
+reduction, are checked before any of its values is tested for zero,
+which covers every partial sum because bounds only grow as terms are
+added.  When a bound reaches 2^(W-1), the engine raises an internal
+overflow, re-spaces the step's input and the core table to a wider W
+(each value's digits copied by
 :func:`~qexpand.exactarith.kronecker_respace`, with no decode) and
-redoes the step.  The bounds do not depend on W, so the redone work
-checks against the same bounds.  Decoded results are built by
+redoes the step.  Cores finished before the overflow stay in the table,
+so only the reductions then in progress are redone.  The bounds do not
+depend on W, so the redone work checks against the same bounds.
+Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .exactarith import (
     IntPolynomial,
@@ -176,7 +191,6 @@ def _split(word: str, first: str, last: str) -> tuple[str, str, str]:
 
 # A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and
 # b >= ||num||_1; a packed factor (mW, R, k, b) for q^m R/(1-q)^k alike.
-_PACKED_ONE = (1, 0, 1)
 _START_BITS = 64
 
 
@@ -266,44 +280,24 @@ class _Cores:
             for w, (cs, k) in forms.items()
         }
 
-    def reduce(self, core: str) -> list:
-        """The packed reduction of a word core, from the table or made now."""
-        reduced = self.table.get(core)
-        if reduced is None:
-            reduced = self.table[core] = _reduce_word(core, self)
-        return reduced
+    def run(self, work: Generator[str, None, dict]) -> dict:
+        """The value of a step generator (see :func:`_normalize_step`).
 
-
-def _reduce_word(word: str, cores: _Cores) -> list:
-    """The normal form of a word as (normal word, packed factor) terms.
-
-    Each pending word is popped once, deglex-largest first, with its
-    coefficient complete, and is checked against the bound there."""
-    system, rules, bits = cores.system, cores.rules, cores.bits
-    key = system.order_key
-    limit = 1 << (bits - 1)
-    normal = []
-    pending = {word: _PACKED_ONE}
-    heap = [(key(word), word)]
-    while heap:
-        _, w = heapq.heappop(heap)
-        n, k, b = pending.pop(w)
-        if b >= limit:
-            raise _Overflow(b)
-        if not n:
-            continue  # the terms of w cancelled
-        i = _leftmost_pair(w, system)
-        if i < 0:
-            # n = 2^(mW) R(2^W) with 0 < |R(0)| < 2^(W-1), so m = v2(n) // W
-            shift = ((n & -n).bit_length() - 1) // bits * bits
-            normal.append((w, (shift, n >> shift, k, b)))
-            continue
-        for produced, (shift, r, kr, br) in _apply_at(w, i, rules):
-            if produced not in pending:
-                heapq.heappush(heap, (key(produced), produced))
-            product = (n if r == 1 else n * r) << shift
-            _add(pending, produced, product, k + kr, b * br, bits)
-    return normal
+        Each core it asks for is reduced by a generator of its own, on an
+        explicit stack, and stored in the table before the one that asked
+        resumes; so no word is too long for the recursion limit."""
+        stack = [(None, work)]
+        while True:
+            core, top = stack[-1]
+            try:
+                need = next(top)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                self.table[core] = done.value
+            else:
+                stack.append((need, _reduce_word(need, self)))
 
 
 def _decode(terms: dict, bits: int) -> NCPolynomial:
@@ -317,24 +311,63 @@ def _decode(terms: dict, bits: int) -> NCPolynomial:
     )
 
 
-def _normalize_step(terms: dict, suffixes: Iterable[str], cores: _Cores) -> dict:
+def _normalize_step(
+    terms: dict, suffixes: Iterable[str], cores: _Cores
+) -> Generator[str, None, dict]:
     """The packed normal form of the sum of terms[w] * w x over the words w
     of the packed values ``terms`` and the strings x of ``suffixes``, zero
-    terms dropped; _Overflow when a bound reaches 2^(W-1)."""
-    system = cores.system
+    terms dropped; _Overflow when a bound reaches 2^(W-1).
+
+    A generator for :meth:`_Cores.run`: it yields each core that the table
+    lacks, resumes once that core is stored, and returns the normal form."""
+    system, table, bits = cores.system, cores.table, cores.bits
     first, last = system.normal_order[0], system.normal_order[-1]
-    bits = cores.bits
     total: dict = {}
     for word, (n, k, b) in terms.items():
         for x in suffixes:
             prefix, core, suffix = _split(word + x, first, last)
-            for w, (shift, r, kr, br) in cores.reduce(core):
+            reduced = table.get(core)
+            if reduced is None:
+                yield core
+                reduced = table[core]
+            for w, (shift, r, kr, br) in reduced:
                 product = (n if r == 1 else n * r) << shift
                 _add(total, prefix + w + suffix, product, k + kr, b * br, bits)
-    bound = max([v[2] for v in total.values()], default=0)
+    return _checked(total, bits)
+
+
+def _reduce_word(word: str, cores: _Cores) -> Generator[str, None, list]:
+    """The normal form of a word core as (normal word, packed factor) terms,
+    by insertion: its leftmost out-of-order pair is rewritten once, and
+    the letters after it are appended to the normal prefix before it one
+    at a time, each by one :func:`_normalize_step`, whose requests for
+    cores it passes on."""
+    bits = cores.bits
+    i = _leftmost_pair(word, cores.system)
+    if i < 0:
+        return [(word, (0, 1, 0, 1))]  # a normal core, with the factor 1
+    total: dict = {}
+    for produced, (shift, r, k, b) in _apply_at(word, i, cores.rules):
+        terms = {word[:i]: (r << shift, k, b)}
+        for x in produced[i:]:
+            terms = yield from _normalize_step(terms, x, cores)
+        for w, (n, k, b) in terms.items():
+            _add(total, w, n, k, b, bits)
+    reduced = []
+    for w, (n, k, b) in _checked(total, bits).items():
+        # n = 2^(mW) R(2^W) with 0 < |R(0)| < 2^(W-1), so m = v2(n) // W
+        shift = ((n & -n).bit_length() - 1) // bits * bits
+        reduced.append((w, (shift, n >> shift, k, b)))
+    return reduced
+
+
+def _checked(terms: dict, bits: int) -> dict:
+    """The packed values ``terms`` with the zero ones dropped; _Overflow,
+    before any zero test, when a bound reaches 2^(bits-1)."""
+    bound = max([v[2] for v in terms.values()], default=0)
     if bound >> (bits - 1):
         raise _Overflow(bound)
-    return {w: v for w, v in total.items() if v[0]}
+    return {w: v for w, v in terms.items() if v[0]}
 
 
 def _power_pass(
@@ -347,7 +380,7 @@ def _power_pass(
     terms, suffixes = cores.pack(p), ("",)
     while True:
         try:
-            terms = _normalize_step(terms, suffixes, cores)
+            terms = cores.run(_normalize_step(terms, suffixes, cores))
         except _Overflow as err:
             terms = cores.widen(err.bound, terms)
             continue

@@ -116,6 +116,22 @@ class TestExpandAndNormalize:
         _, out, _ = run_cli(["normalize", "--system", "A-c0", "--word", "ab"], capsys)
         assert out.strip() == "(q)·b·a"
 
+    def test_normalize_long_chain(self, capsys):
+        # a^2000 b nests 2000 core reductions, each needing the next; they
+        # run on an explicit stack, within the default recursion limit
+        k = 2000
+        argv = ["normalize", "--system", "A", "--word", "a" * k + "b"]
+        P = qexpand.IntPolynomial
+        expected = NCPolynomial(
+            {
+                "b" + "a" * k: qexpand.RationalFunction(P.monomial(k)),
+                "c" + "a" * (k - 1): qexpand.RationalFunction(
+                    P.monomial(k - 1) * qexpand.q_int(k)
+                ),
+            }
+        )
+        assert run_cli(argv, capsys) == (0, f"{expected}\n", "")
+
     def test_normalize_outputs_are_pinned(self, capsys):
         # digest of the text and JSON output over a fixed word list; a^20 b^20
         # in System A needs a packing width above 64 bits

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qexpand.exactarith import (
     IntPolynomial,
     RF_ONE,
+    RF_ZERO,
     RationalFunction,
     kronecker_pack,
     kronecker_unpack,
@@ -187,19 +188,64 @@ class TestNormalizeExamples:
         assert result == expected
 
 
+def _chain(system, k):
+    """The normal form of a^k b: q^k b a^k + q^(k-1)[k] c a^(k-1) in
+    System A and q^(2k) b a^k in System B."""
+    if system is SYSTEM_B:
+        return word_poly("b" + "a" * k, qpow(2 * k))
+    return NCPolynomial(
+        {
+            "b" + "a" * k: qpow(k),
+            "c" + "a" * (k - 1): RationalFunction(P.monomial(k - 1) * q_int(k)),
+        }
+    )
+
+
+def _a_power_b_power(m, n):
+    """The normal form of a^m b^n in System A, from a recurrence on m.
+
+    a b^t = q^t b^t a + q^(t-1)[t] b^(t-1) c and a c^j = q^(2j) c^j a, so
+    if a^m b^n is the sum of C(m, j) b^(n-j) c^j a^(m-j) over j, then
+    C(m+1, j) = q^(n+j) C(m, j) + q^(n-j)[n-j+1] C(m, j-1)."""
+    column = [RF_ONE]
+    for _ in range(m):
+        previous, column = column, []
+        for j in range(min(len(previous), n) + 1):
+            c = qpow(n + j) * previous[j] if j < len(previous) else RF_ZERO
+            if j:
+                step = RationalFunction(P.monomial(n - j) * q_int(n - j + 1))
+                c = c + step * previous[j - 1]
+            column.append(c)
+    return NCPolynomial(
+        {"b" * (n - j) + "c" * j + "a" * (m - j): c for j, c in enumerate(column)}
+    )
+
+
 class TestAuxiliaryFamilies:
-    def test_a_power_times_b(self):
-        for n in range(1, 11):
-            result = normalize(word_poly("a" * n + "b"), SYSTEM_A)
-            expected = NCPolynomial(
-                {
-                    "b" + "a" * n: qpow(n),
-                    "c" + "a" * (n - 1): RationalFunction(
-                        P.monomial(n - 1) * q_int(n)
-                    ),
-                }
-            )
-            assert result == expected
+    def test_a_power_times_b(self, reduce_randomly):
+        rng = random.Random(23)
+        for system in (SYSTEM_A, SYSTEM_B):
+            for k in range(1, 11):
+                p = word_poly("a" * k + "b")
+                assert normalize(p, system) == _chain(system, k)
+                assert reduce_randomly(p, system, rng) == _chain(system, k)
+
+    def test_long_chain_within_the_recursion_limit(self):
+        # the cores a^j b for j < k are each reduced before the next, on an
+        # explicit stack: no nesting reaches the default recursion limit
+        for system in (SYSTEM_A, SYSTEM_B):
+            p = word_poly("a" * 2000 + "b")
+            assert normalize(p, system) == _chain(system, 2000)
+
+    def test_a_power_times_b_power(self, reduce_randomly):
+        rng = random.Random(24)
+        for m in range(5):
+            for n in range(5):
+                p = word_poly("a" * m + "b" * n)
+                assert reduce_randomly(p, SYSTEM_A, rng) == _a_power_b_power(m, n)
+        for m, n in ((12, 7), (7, 12), (16, 16)):
+            p = word_poly("a" * m + "b" * n)
+            assert normalize(p, SYSTEM_A) == _a_power_b_power(m, n)
 
     def test_a_power_times_c(self):
         for n in range(1, 11):
@@ -336,11 +382,18 @@ class TestNormalizeProperties:
                     assert is_normal(w, system)
 
     def test_confluence_smoke(self, reduce_randomly):
+        # sums of up to three words of up to 12 letters, over coefficients
+        # with and without powers of 1/(1-q), against random rewrite orders
         rng = random.Random(99)
-        for word in _random_words(200, 8, seed=14):
-            for system in (SYSTEM_A, SYSTEM_B):
-                left = normalize(word_poly(word), system)
-                assert left == reduce_randomly(word_poly(word), system, rng)
+        coefficients = [RF_ONE, qpow(1), RationalFunction(P((2, -1))), xi()]
+        coefficients.append(over_one_minus_q((-1,), 2))
+        words = _random_words(360, 12, seed=14)
+        for count in (1, 2, 3) * 40:
+            p = NCPolynomial({})
+            for _ in range(count):
+                p = p + word_poly(words.pop(), rng.choice(coefficients))
+            for system in SYSTEMS.values():
+                assert normalize(p, system) == reduce_randomly(p, system, rng)
 
     def test_each_word_is_rewritten_once(self, monkeypatch):
         seen = []
@@ -394,6 +447,26 @@ class TestNormalizeProperties:
                 c1, c2 = rng.sample(in_ring, 2)
                 p = word_poly(w1, c1) + word_poly(w2, c2)
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
+
+    def test_finished_cores_survive_a_widening(self, monkeypatch, widths):
+        # a^30 b^30 in System A overflows four times; each core finished
+        # before an overflow stays in the table, re-spaced, and only the
+        # cores still in progress are reduced again, at the wider width
+        started, finished = [], set()
+        reduce_word = ordering._reduce_word
+
+        def recording(word, cores):
+            assert word not in finished
+            started.append((word, cores.bits))
+            reduced = yield from reduce_word(word, cores)
+            finished.add(word)
+            return reduced
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        result = normalize(word_poly("a" * 30 + "b" * 30), SYSTEM_A)
+        assert len(widths) > 2  # the first width, then at least two more
+        assert len(started) == len(set(started))
+        assert result == _a_power_b_power(30, 30)
 
     def test_normalize_widens_past_64_bits(self, widths, reduce_randomly):
         # ab -> (2^40 + q) ba: the normal form of a^3 b has a coefficient
