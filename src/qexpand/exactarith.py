@@ -39,56 +39,77 @@ phi_2i = psi(i)/(1-q)^i, for example.  A ``RationalFunction`` accepts a
 denominator only of the form +-(q-1)^k and raises ValueError for any
 other.  Normalisation divides the root q = 1 out of the numerator by
 synthetic division, at most k times; since q - 1 is prime in Z[q], the
-result is canonical with no gcd, exact division or content step.  Sums
-over two powers of (q-1) use (q-1)^max as their common denominator.
+result is canonical with no gcd, exact division or content step.  The
+package builds its own values with ``RationalFunction._canonical(num, k)``,
+which skips the denominator check: sums of num/(q-1)^k use (q-1)^max as
+common denominator, and products (q-1)^(k1+k2).
 ``over_one_minus_q`` builds the canonical value cs/(1-q)^k from
 numerator coefficients, and ``one_minus_q_form`` takes it apart again.
 ``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
 utilities; no route calls them.
 
 All values are immutable and every operation is a pure function, so values
-may be shared freely across threads and tasks.
+may be shared freely across threads and tasks.  Both value types are
+``__slots__`` classes that refuse ``__setattr__``, with equality, hash,
+``repr`` and ``__reduce__`` (for copy and pickle) written by hand: the
+generated kind would import ``inspect``, ``ast`` and ``dis`` at start-up.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
 from operator import add, index, neg, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Length of the shorter operand from which Kronecker substitution is used.
 _KRONECKER_MIN = 16
 
+_new = object.__new__
 
-@dataclass(frozen=True)
+
+def _immutable(self, name: str, value: object = None) -> None:
+    raise AttributeError(f"{type(self).__name__} values are immutable")
+
+
 class IntPolynomial:
     """A polynomial in q with integer coefficients; ``coeffs[k]`` is for q**k."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        cs = self.coeffs
-        if type(cs) is not tuple or any(type(c) is not int for c in cs):
-            cs = tuple(map(index, cs))  # TypeError for floats, strings, ...
-        n = len(cs)
-        while n and cs[n - 1] == 0:
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        if type(coeffs) is not tuple or any(type(c) is not int for c in coeffs):
+            coeffs = tuple(map(index, coeffs))  # TypeError for floats, strings, ...
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
             n -= 1
-        if n != len(cs):
-            cs = cs[:n]
-        object.__setattr__(self, "coeffs", cs)
+        _set_coeffs(self, coeffs[:n])
 
     @classmethod
     def _raw(cls, coeffs: tuple[int, ...]) -> IntPolynomial:
         """Internal constructor: ``coeffs`` is a tuple of ints with no trailing zero."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
+        p = _new(cls)
+        _set_coeffs(p, coeffs)
         return p
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> IntPolynomial:
@@ -237,6 +258,10 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         return "".join(self.str_parts())
+
+
+# the slot's own setter, which the refusing __setattr__ does not reach
+_set_coeffs = IntPolynomial.coeffs.__set__
 
 
 def _trimmed(out: list[int]) -> IntPolynomial:
@@ -489,7 +514,6 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return a
 
 
-@dataclass(frozen=True)
 class RationalFunction:
     """A value num/den of the ring Z[q, 1/(1-q)] in canonical form.
 
@@ -499,11 +523,10 @@ class RationalFunction:
     prime in Z[q], this form is unique.
     """
 
-    num: IntPolynomial = ZERO
-    den: IntPolynomial = ONE
+    __slots__ = ("num", "den")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: IntPolynomial = ZERO, den: IntPolynomial = ONE) -> None:
         if den.coeffs != (1,):
             k = _q_minus_one_exponent(den.coeffs)
             if k < 0:
@@ -514,8 +537,34 @@ class RationalFunction:
                 num = -num
             # cancel the multiplicity j of the root q = 1 of num
             cs, j = _divide_out_root_one(num.coeffs, k)
-            object.__setattr__(self, "num", IntPolynomial._raw(cs))
-            object.__setattr__(self, "den", _q_minus_one_power(k - j))
+            num, den = IntPolynomial._raw(cs), _q_minus_one_power(k - j)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    @classmethod
+    def _canonical(cls, num: IntPolynomial, k: int) -> RationalFunction:
+        """Internal constructor: num/(q-1)**k, k >= 0, in lowest terms; no checks."""
+        cs, j = _divide_out_root_one(num.coeffs, k)
+        if j:
+            num = IntPolynomial._raw(cs)
+        value = _new(cls)
+        _set_num(value, num)
+        _set_den(value, _q_minus_one_power(k - j))
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(num={self.num!r}, den={self.den!r})"
+
+    def __reduce__(self):
+        return type(self), (self.num, self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -523,23 +572,17 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def _over_common_den(
-        self, other: RationalFunction
-    ) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
-        """Numerators of self and other over one common denominator, and it."""
-        # each den is (q-1)**k with k = den.degree: lift the lower power
-        lift = other.den.degree - self.den.degree
-        if not lift:
-            return self.num, other.num, self.den
-        if lift > 0:
-            return self.num * _q_minus_one_power(lift), other.num, other.den
-        return self.num, other.num * _q_minus_one_power(-lift), self.den
-
     def __add__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        num, other_num, den = self._over_common_den(other)
-        return RationalFunction(num + other_num, den)
+        # each den is (q-1)**k with k = den.degree: lift the lower power
+        a, b = self.num, other.num
+        ka, kb = self.den.degree, other.den.degree
+        if ka < kb:
+            a = a * _q_minus_one_power(kb - ka)
+        elif kb < ka:
+            b = b * _q_minus_one_power(ka - kb)
+        return RationalFunction._canonical(a + b, max(ka, kb))
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
@@ -547,12 +590,17 @@ class RationalFunction:
         return self + -other
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        value = _new(RationalFunction)
+        _set_num(value, -self.num)
+        _set_den(value, self.den)
+        return value
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._canonical(
+            self.num * other.num, self.den.degree + other.den.degree
+        )
 
     def evaluate(self, point: complex) -> complex:
         """num(point)/den(point) in complex double precision.
@@ -591,10 +639,15 @@ class RationalFunction:
         return "".join(self.str_parts())
 
 
+_set_num = RationalFunction.num.__set__
+_set_den = RationalFunction.den.__set__
+
+
 def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
     """The value cs / (1-q)^k, for coefficients cs with no trailing zero."""
-    num = IntPolynomial._raw(cs)
-    return RationalFunction(-num if k % 2 else num, _q_minus_one_power(k))
+    if k % 2:
+        cs = tuple([-c for c in cs])
+    return RationalFunction._canonical(IntPolynomial._raw(cs), k)
 
 
 def one_minus_q_form(value: RationalFunction) -> tuple[tuple[int, ...], int]:

@@ -126,7 +126,7 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
         raise ValueError("indices must be >= 0")
     phi = phi_closed(beta)
     num = _times_multinomial(phi.num.coeffs, alpha, beta, gamma, 2)
-    return RationalFunction(IntPolynomial._raw(num), phi.den)
+    return RationalFunction._canonical(IntPolynomial._raw(num), phi.den.degree)
 
 
 # (b, N_(b-1), N_b) for the last index phi_recursive reached; a call at a

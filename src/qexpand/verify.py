@@ -21,16 +21,16 @@ System B with phi = 1, whose coefficients are the base-q^2 multinomials.
 Verification failures are data (counted and reported), never exceptions.
 Every step of the walk is an exact division on correct code, so a step
 that leaves a remainder is a package defect, not a failure: it raises
-ValueError, and the command line exits 1 with ``error: ...``.
+ValueError, and the command line exits 1 with ``error: ...``.  Reports and
+the records of ``SPECS`` are named tuples, equal to any same-field tuple.
 """
 
 from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .exactarith import (
     IntPolynomial,
@@ -63,8 +63,7 @@ from .qnumbers import (
 )
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One disagreeing coefficient between the formula and oracle routes."""
 
     word: str
@@ -79,8 +78,7 @@ class Mismatch:
         }
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Outcome of comparing both expansion routes for one exponent."""
 
     system: str
@@ -101,8 +99,7 @@ class ExpansionReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     """Aggregate pass/fail count for one verification suite."""
 
     suite: str
@@ -111,7 +108,7 @@ class VerificationSummary:
     duration_ms: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
@@ -178,8 +175,7 @@ def _head_b(cs: tuple[int, ...], k: int, beta: int, gamma: int):
     return times_q_int(cs, 2, beta), k + 1
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """The expansion data of a built-in system: the degree of the middle
     letter of its normal order, the base q^base of the row step
     [gamma]/[alpha+1], the step from one row head to the next (None when

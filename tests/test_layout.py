@@ -8,6 +8,8 @@ return without reaching into the rewrite engine.
 
 import ast
 import os
+import subprocess
+import sys
 
 import qexpand
 
@@ -41,3 +43,21 @@ def test_the_formula_route_uses_no_oracle_code():
 def test_verify_reaches_no_private_name_of_the_engine():
     names = _relative_imports("verify")["ordering"]
     assert not [name for name in names if name.startswith("_")]
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # pytest has loaded both already, so only a fresh interpreter can tell
+    source = os.path.dirname(PACKAGE)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, qexpand.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.stdout == "[]\n"

@@ -1,7 +1,6 @@
 """Tests for the formula-versus-oracle verification layer."""
 
 import cmath
-import dataclasses
 import hashlib
 import json
 
@@ -300,9 +299,7 @@ class TestSuitesCanFail:
             value = spec.recurrence(*indices)
             return value + RF_ONE if indices == (1, 1, 1) else value
 
-        monkeypatch.setitem(
-            SPECS, SYSTEM_B, dataclasses.replace(spec, recurrence=recurrence)
-        )
+        monkeypatch.setitem(SPECS, SYSTEM_B, spec._replace(recurrence=recurrence))
         summary = verify_recurrences(SYSTEM_B, 4)
         assert (summary.cases, summary.failures) == (37, 1)
 
