@@ -19,30 +19,35 @@ the results to agree.  By Bergman's diamond lemma ("The diamond lemma for
 ring theory", 1978) every word of a system that passes these checks has a
 unique normal form, whatever pairs are rewritten in whatever order.
 
-Word reduction uses that freedom: it works by insertion.  A word u y x v
-whose leftmost out-of-order pair is yx is rewritten there once, to a sum
-of terms f u w v; since u is normal, each term is reduced by appending
-the letters of w v to u one at a time, normalising after each.  So every
-word the reduction needs (through the table of its core, below) is a
-normal word N followed by one letter l.
+Word reduction uses that freedom: it works by insertion, and every word
+it extends is normal and is extended by one letter.  A pass starts by
+appending the letters of each word of its input to the empty word one at
+a time, and each later step appends one letter to each normal word of the
+last.  A normal word followed by a letter of at least the rank of its
+last letter is normal, so its value carries over.  Otherwise the word is
+a core u y x with u y normal and rank(y) > rank(x), whose only
+out-of-order pair is yx: it is rewritten there once, to a sum of terms
+f u w, and each term is reduced by appending the letters of w to u one
+at a time, normalising after each.  So every word the reduction needs
+(through the table of its core, below) is again a normal word N followed
+by one letter l, and no word is scanned for its out-of-order pair.
 These needs have no cycle: N l is strictly deglex-smaller than the word
-being reduced.  N is a word of the normal form of a prefix P of u w v,
-so N <= P, and N l <= P l, which is again a prefix of u w v; a proper
-prefix is shorter, and u w v itself is smaller than u y x v because the
+being reduced.  N is a word of the normal form of a prefix P of u w,
+so N <= P, and N l <= P l, which is again a prefix of u w; a proper
+prefix is shorter, and u w itself is smaller than u y x because the
 rule shrinks in deglex.  Since deglex is a well-order, the reduction
 ends.  The needs of one word may nest as deep as the word is long, so
 they are walked on an explicit stack of suspended reductions, not by
 recursion.
 
 Every pattern ``xy`` has rank(x) > rank(y), so a prefix of rank-0 letters
-and a suffix of top-rank letters are inert: no pattern starts inside the
-prefix or ends inside the suffix, and no rewrite of the rest reaches
-them.  Hence normalize(P·X·S) = P·normalize(X)·S for such a prefix P and
-suffix S, and the engine reduces only the core X between them.  One pass
-computes the normal forms of p, p s, p s^2, ... for a sum s of letters,
-with one table from each core to its reduction for all of its steps and
-for the insertions within each reduction, so each core is reduced once
-per pass; no table outlives its pass.
+is inert: no pattern starts inside it, and no rewrite of the rest
+reaches it.  Hence normalize(P·X) = P·normalize(X) for such a prefix P,
+and the engine reduces only the core X after it.  One pass computes the
+normal forms of p, p s, p s^2, ... for a sum s of letters, with one table
+from each core to its reduction for all of its steps and for the
+insertions within each reduction, so each core is reduced once per pass;
+no table outlives its pass.
 :func:`normalize` is the first step of a pass with no letters.  This
 module is the whole oracle route: no other module sees a packed value.
 
@@ -79,7 +84,6 @@ Decoded results are built by
 
 from __future__ import annotations
 
-import re
 from itertools import islice
 from typing import Generator, Iterable, Iterator
 
@@ -114,7 +118,6 @@ class RelationSystem:
             for y in normal_order
             if self.rank[x] > self.rank[y]
         ]
-        self._descents = re.compile("|".join(descents))
         # letter of rank r -> a character that decreases with r
         self._table = str.maketrans(
             normal_order, "".join(sorted(normal_order, reverse=True))
@@ -163,15 +166,10 @@ class RelationSystem:
         return f"RelationSystem({self.name!r})"
 
 
-def _leftmost_pair(word: str, system: RelationSystem) -> int:
-    """Index of the leftmost adjacent pair in decreasing rank order, or -1."""
-    found = system._descents.search(word)
-    return -1 if found is None else found.start()
-
-
 def is_normal(word: str, system: RelationSystem) -> bool:
     """True iff the word's letter ranks are non-decreasing left to right."""
-    return _leftmost_pair(word, system) < 0
+    rank = system.rank
+    return all(rank[x] <= rank[y] for x, y in zip(word, word[1:]))
 
 
 def _apply_at(word: str, i: int, rules: dict) -> list:
@@ -179,14 +177,6 @@ def _apply_at(word: str, i: int, rules: dict) -> list:
     ``rules`` maps each pattern to its replacement's (word, factor) terms."""
     prefix, suffix = word[:i], word[i + 2 :]
     return [(prefix + w + suffix, f) for w, f in rules[word[i : i + 2]]]
-
-
-def _split(word: str, first: str, last: str) -> tuple[str, str, str]:
-    """(prefix, core, suffix): the inert runs of ``first`` and ``last``
-    letters at either end of the word, and the core between them."""
-    rest = word.lstrip(first)
-    core = rest.rstrip(last)
-    return word[: len(word) - len(rest)], core, rest[len(core) :]
 
 
 # A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and
@@ -312,49 +302,62 @@ def _decode(terms: dict, bits: int) -> NCPolynomial:
 
 
 def _normalize_step(
-    terms: dict, suffixes: Iterable[str], cores: _Cores
+    terms: dict, letters: str, cores: _Cores
 ) -> Generator[str, None, dict]:
-    """The packed normal form of the sum of terms[w] * w x over the words w
-    of the packed values ``terms`` and the strings x of ``suffixes``, zero
-    terms dropped; _Overflow when a bound reaches 2^(W-1).
+    """The packed normal form of the sum of terms[w] * w x over the normal
+    words w of the packed values ``terms`` and the letters x, zero terms
+    dropped; _Overflow when a bound reaches 2^(W-1).  A word w x whose
+    last pair is in order is normal, so its value carries over; otherwise
+    the rank-0 prefix of w is inert and the rest of w x is a core.
 
     A generator for :meth:`_Cores.run`: it yields each core that the table
     lacks, resumes once that core is stored, and returns the normal form."""
-    system, table, bits = cores.system, cores.table, cores.bits
-    first, last = system.normal_order[0], system.normal_order[-1]
+    rank, table, bits = cores.system.rank, cores.table, cores.bits
+    first = cores.system.normal_order[0]
     total: dict = {}
     for word, (n, k, b) in terms.items():
-        for x in suffixes:
-            prefix, core, suffix = _split(word + x, first, last)
+        for x in letters:
+            if not word or rank[word[-1]] <= rank[x]:
+                _add(total, word + x, n, k, b, bits)
+                continue
+            rest = word.lstrip(first)
+            prefix, core = word[: len(word) - len(rest)], rest + x
             reduced = table.get(core)
             if reduced is None:
                 yield core
                 reduced = table[core]
             for w, (shift, r, kr, br) in reduced:
                 product = (n if r == 1 else n * r) << shift
-                _add(total, prefix + w + suffix, product, k + kr, b * br, bits)
+                _add(total, prefix + w, product, k + kr, b * br, bits)
+    return _checked(total, bits)
+
+
+def _insert(items: Iterable[tuple], cores: _Cores) -> Generator[str, None, dict]:
+    """The packed normal form of the sum of v * u x over the triples (u, v,
+    x) of ``items``, u a normal word, v a packed value and x a word, zero
+    terms dropped: the letters of x are appended to u one at a time, each
+    by one :func:`_normalize_step`, whose requests for cores it passes on."""
+    bits = cores.bits
+    total: dict = {}
+    for u, value, x in items:
+        terms = {u: value}
+        for letter in x:
+            terms = yield from _normalize_step(terms, letter, cores)
+        for w, (n, k, b) in terms.items():
+            _add(total, w, n, k, b, bits)
     return _checked(total, bits)
 
 
 def _reduce_word(word: str, cores: _Cores) -> Generator[str, None, list]:
-    """The normal form of a word core as (normal word, packed factor) terms,
-    by insertion: its leftmost out-of-order pair is rewritten once, and
-    the letters after it are appended to the normal prefix before it one
-    at a time, each by one :func:`_normalize_step`, whose requests for
-    cores it passes on."""
-    bits = cores.bits
-    i = _leftmost_pair(word, cores.system)
-    if i < 0:
-        return [(word, (0, 1, 0, 1))]  # a normal core, with the factor 1
-    total: dict = {}
-    for produced, (shift, r, k, b) in _apply_at(word, i, cores.rules):
-        terms = {word[:i]: (r << shift, k, b)}
-        for x in produced[i:]:
-            terms = yield from _normalize_step(terms, x, cores)
-        for w, (n, k, b) in terms.items():
-            _add(total, w, n, k, b, bits)
+    """The normal form of a core u y x, with u y normal and rank(y) >
+    rank(x), as (normal word, packed factor) terms: the pair yx is
+    rewritten once, and each word it produces is inserted after u."""
+    bits, i = cores.bits, len(word) - 2
+    produced = _apply_at(word, i, cores.rules)
+    items = [(word[:i], (r << shift, k, b), w[i:]) for w, (shift, r, k, b) in produced]
+    total = yield from _insert(items, cores)
     reduced = []
-    for w, (n, k, b) in _checked(total, bits).items():
+    for w, (n, k, b) in total.items():
         # n = 2^(mW) R(2^W) with 0 < |R(0)| < 2^(W-1), so m = v2(n) // W
         shift = ((n & -n).bit_length() - 1) // bits * bits
         reduced.append((w, (shift, n >> shift, k, b)))
@@ -374,18 +377,24 @@ def _power_pass(
     p: NCPolynomial, letters: str, system: RelationSystem
 ) -> Iterator[tuple[dict, int]]:
     """The packed normal forms of p, p s, p s^2, ... and their widths, s the
-    sum of the letters: each step appends every letter to every word of the
-    last.  A step that overflows is redone on its input re-encoded wider."""
+    sum of the letters: the first step inserts each word of p letter by
+    letter after the empty word, and each later one appends every letter to
+    every word of the last.  A step that overflows is redone on its input
+    re-encoded wider."""
     cores = _Cores(system)
-    terms, suffixes = cores.pack(p), ("",)
+    terms, started = cores.pack(p), False
     while True:
+        if started:
+            work = _normalize_step(terms, letters, cores)
+        else:
+            work = _insert((("", v, w) for w, v in terms.items()), cores)
         try:
-            terms = cores.run(_normalize_step(terms, suffixes, cores))
+            terms = cores.run(work)
         except _Overflow as err:
             terms = cores.widen(err.bound, terms)
             continue
         yield terms, cores.bits
-        suffixes = letters
+        started = True
 
 
 def normal_powers(

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import heapq
+
 import pytest
 
 from qexpand import verify
@@ -11,25 +13,37 @@ def _reduce_randomly(p, system, rng):
     """A normal form of p reached by rewriting a random out-of-order pair
     of each pending word.
 
-    It reads only ``system.rules`` and ``system.rank``, so it shares no
-    code with the rewrite engine whose normal forms it is compared with.
+    The deglex-largest pending word is rewritten first.  Every rule shrinks
+    in deglex, so no later rewrite adds to that word, and each word is
+    rewritten once.  It reads only ``system.rules`` and ``system.rank``, so
+    it shares no code with the rewrite engine whose normal forms it is
+    compared with.
     """
     rank = system.rank
-    pending = dict(p.items())
+    pending = {}
+    heap = []
+
+    def add(word, coeff):
+        if word not in pending:
+            heapq.heappush(heap, ((-len(word), [-rank[x] for x in word]), word))
+        pending[word] = pending.get(word, RF_ZERO) + coeff
+
+    for word, coeff in p.items():
+        add(word, coeff)
     normal = {}
-    while pending:
-        word, coeff = pending.popitem()
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = pending.pop(word)
         positions = [
             i for i in range(len(word) - 1) if rank[word[i]] > rank[word[i + 1]]
         ]
         if not positions:
-            normal[word] = normal.get(word, RF_ZERO) + coeff
+            normal[word] = coeff
             continue
         i = rng.choice(positions)
         prefix, suffix = word[:i], word[i + 2 :]
         for w, c in system.rules[word[i : i + 2]].items():
-            produced = prefix + w + suffix
-            pending[produced] = pending.get(produced, RF_ZERO) + coeff * c
+            add(prefix + w + suffix, coeff * c)
     return NCPolynomial(normal)
 
 

@@ -143,6 +143,16 @@ class TestIsNormal:
             assert is_normal("", system)
             assert is_normal("a", system)
 
+    def test_every_short_word_against_the_definition(self):
+        # the ranks, read left to right, never decrease
+        for system in SYSTEMS.values():
+            words = [""]
+            for _ in range(6):
+                words = [w + x for w in words for x in "abc"]
+                for word in words:
+                    ranks = [system.rank[x] for x in word]
+                    assert is_normal(word, system) == (ranks == sorted(ranks))
+
 
 class TestRewriteStep:
     """Words whose normal form is one rewrite step away, or zero steps."""
@@ -239,8 +249,8 @@ class TestAuxiliaryFamilies:
 
     def test_a_power_times_b_power(self, reduce_randomly):
         rng = random.Random(24)
-        for m in range(5):
-            for n in range(5):
+        for m in range(7):
+            for n in range(7):
                 p = word_poly("a" * m + "b" * n)
                 assert reduce_randomly(p, SYSTEM_A, rng) == _a_power_b_power(m, n)
         for m, n in ((12, 7), (7, 12), (16, 16)):
@@ -512,18 +522,23 @@ def _letters(system):
 class TestPowerPass:
     def test_steps_are_normal_forms_of_the_products(self, reduce_randomly):
         # p s^n for a random p, against the products normalised one by one
+        # and for a p whose coefficients lie over different powers of 1 - q
         rng = random.Random(22)
+        mixed = [xi(), over_one_minus_q((-1,), 2), qpow(3)]
         for system in SYSTEMS.values():
             words = _random_words(4, 5, seed=rng.randrange(1000))
-            p = NCPolynomial((w, qpow(i)) for i, w in enumerate(words))
             s = base_sum(system)
-            steps = list(islice(normal_powers(p, _letters(system), system), 4))
-            assert steps[0] == normalize(p, system)
-            product = p
-            for n, step in enumerate(steps):
-                assert step == reduce_randomly(product, system, rng)
-                assert step == normal_power(p, _letters(system), n, system)
-                product = product * s
+            for p in (
+                NCPolynomial((w, qpow(i)) for i, w in enumerate(words)),
+                NCPolynomial(zip(_random_words(3, 5, seed=rng.randrange(1000)), mixed)),
+            ):
+                steps = list(islice(normal_powers(p, _letters(system), system), 4))
+                assert steps[0] == normalize(p, system)
+                product = p
+                for n, step in enumerate(steps):
+                    assert step == reduce_randomly(product, system, rng)
+                    assert step == normal_power(p, _letters(system), n, system)
+                    product = product * s
 
     def test_without_letters_only_the_first_step_is_nonzero(self):
         p = word_poly("acab")
@@ -554,6 +569,29 @@ class TestPowerPass:
             assert len(reduced) < sum(len(product) for product in products)
             for product, step in zip(products, steps[1:]):
                 assert step == reduce_randomly(product, system, rng)
+
+    def test_every_core_is_a_normal_word_plus_one_letter(self, monkeypatch):
+        # N y x with N y normal and rank(y) > rank(x): the engine never scans
+        # a core for its out-of-order pair, and never gets a normal one
+        seen = []
+        reduce_word = ordering._reduce_word
+
+        def recording(word, cores):
+            seen.append(word)
+            return reduce_word(word, cores)
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        for system in SYSTEMS.values():
+            seen.clear()
+            for word in _random_words(40, 8, seed=25):
+                normalize(word_poly(word), system)
+            s = base_sum(system)
+            list(islice(normal_powers(s, _letters(system), system), 10))
+            assert seen
+            for core in seen:
+                ranks = [system.rank[x] for x in core]
+                assert len(ranks) >= 2 and ranks[:-1] == sorted(ranks[:-1])
+                assert ranks[-2] > ranks[-1]
 
     def test_oracle_widens_past_64_bits(self, widths):
         # the coefficients of (a+b)^40 in System A need 91 bits
