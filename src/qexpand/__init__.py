@@ -29,6 +29,7 @@ from .qnumbers import (
     gaussian_binomial,
     phi_closed,
     phi_recursive,
+    phi_sequence,
     psi,
     q2_multinomial,
     q_factorial,
@@ -78,6 +79,7 @@ __all__ = [
     "theta_a",
     "theta_b",
     "phi_recursive",
+    "phi_sequence",
     "phi_closed",
     "psi",
     "ExpansionReport",

@@ -4,7 +4,7 @@ Two value types live here.  ``IntPolynomial`` is a dense univariate
 polynomial with arbitrary-precision integer coefficients, stored in
 ascending degree order with no trailing zero entry, so equal values always
 have identical representations.  ``RationalFunction`` is a value
-num/(q-1)**k of Z[q, 1/(1-q)] in a unique canonical form, which makes
+num/(1-q)**k of Z[q, 1/(1-q)] in a unique canonical form, which makes
 equality a plain structural comparison.
 
 The public ``IntPolynomial`` constructor checks every coefficient with
@@ -35,16 +35,16 @@ of runs): 16 was within 2% of the fastest in each, 12 and 24 within 8%;
 The only denominator the relations bring in is that of ``xi`` =
 (q+q^2)/(1-q), defined here for both routes, so every rule, every
 phi_beta and every coefficient of both expansions lies in Z[q, 1/(1-q)];
-phi_2i = psi(i)/(1-q)^i, for example.  A ``RationalFunction`` accepts a
+phi_2i = psi(i)/(1-q)^i, for example.  Every route builds its values as
+num/(1-q)^k, and that is the one stored form: ``.num`` and ``.den`` with
+den = (1-q)^k.  The public ``RationalFunction`` constructor accepts a
 denominator only of the form +-(q-1)^k and raises ValueError for any
-other.  Normalisation divides the root q = 1 out of the numerator by
-synthetic division, at most k times; since q - 1 is prime in Z[q], the
-result is canonical with no gcd, exact division or content step.  The
-package builds its own values with ``RationalFunction._canonical(num, k)``,
-which skips the denominator check: sums of num/(q-1)^k use (q-1)^max as
-common denominator, and products (q-1)^(k1+k2).
-``over_one_minus_q`` builds the canonical value cs/(1-q)^k from
-numerator coefficients, and ``one_minus_q_form`` takes it apart again.
+other; the package builds its own values with ``over_one_minus_q(cs, k)``,
+which skips that check.  Both divide the root q = 1 out of the numerator,
+at most k times, by running sums; since 1 - q is prime in Z[q], the
+result is canonical with no gcd, exact division or content step.  Sums
+lift the lower power of 1 - q, and products add the exponents.  The JSON
+form is num/(q-1)^k, so ``to_json`` negates both parts for odd k.
 ``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
 utilities; no route calls them.
 
@@ -422,42 +422,39 @@ ONE = IntPolynomial((1,))
 Q = IntPolynomial((0, 1))
 
 @lru_cache(maxsize=None)
-def _q_minus_one_power(k: int) -> IntPolynomial:
-    """(q-1)**k, built on first use: coefficient i is (-1)**(k-i) C(k, i)."""
+def _one_minus_q_power(k: int) -> IntPolynomial:
+    """(1-q)**k, built on first use: coefficient i is (-1)**i C(k, i)."""
     return IntPolynomial._raw(
-        tuple([comb(k, i) if (k - i) % 2 == 0 else -comb(k, i) for i in range(k + 1)])
+        tuple([-comb(k, i) if i % 2 else comb(k, i) for i in range(k + 1)])
     )
 
 
 def _q_minus_one_exponent(cs: tuple[int, ...]) -> int:
     """k when cs are the coefficients of +-(q-1)**k (+-1 gives 0), else -1."""
     k = len(cs) - 1
-    if k < 0 or abs(cs[-1]) != 1:
+    if k < 0 or abs(cs[0]) != 1:
         return -1
-    # every (q-1)**k with k >= 1 vanishes at q = 1, and its two top
+    # every (1-q)**k with k >= 1 vanishes at q = 1, and its two lowest
     # coefficients are 1 and -k
-    if k and (sum(cs) or cs[-2] != -k * cs[-1]):
+    if k and (sum(cs) or cs[1] != -k * cs[0]):
         return -1
-    if cs[-1] < 0:
+    if cs[0] < 0:
         cs = tuple(map(neg, cs))
-    return k if cs == _q_minus_one_power(k).coeffs else -1
+    return k if cs == _one_minus_q_power(k).coeffs else -1
 
 
 def _divide_out_root_one(
     cs: tuple[int, ...], cap: int
 ) -> tuple[tuple[int, ...], int]:
-    """(cs / (q-1)**j, j), where j is the multiplicity of the root q = 1 of
+    """(cs / (1-q)**j, j), where j is the multiplicity of the root q = 1 of
     the polynomial cs, capped at ``cap``; the zero polynomial has j = cap."""
     if not cs:
         return cs, cap
     j = 0
     while j < cap and not sum(cs):
-        # synthetic division by q - 1: the running sums from the top are the
+        # division by 1 - q: the running sums from the bottom are the
         # quotient's coefficients, and the last of them is the remainder 0
-        quotient = list(accumulate(reversed(cs)))
-        quotient.pop()
-        quotient.reverse()
-        cs = tuple(quotient)
+        cs = tuple(accumulate(cs))[:-1]
         j += 1
     return cs, j
 
@@ -518,9 +515,10 @@ class RationalFunction:
     """A value num/den of the ring Z[q, 1/(1-q)] in canonical form.
 
     The denominator given must be +-(q-1)**k with k >= 0; any other raises
-    ValueError.  Canonical means: den is (q-1)**k, with k = den.degree, and
-    q - 1 does not divide num when k > 0; zero is 0/1.  Since q - 1 is
-    prime in Z[q], this form is unique.
+    ValueError.  Canonical means: den is (1-q)**k, with k = den.degree, and
+    1 - q does not divide num when k > 0; zero is 0/1.  Since 1 - q is
+    prime in Z[q], this form is unique.  ``to_json`` writes the value over
+    (q-1)**k, the published form, which the constructor reads back.
     """
 
     __slots__ = ("num", "den")
@@ -533,24 +531,13 @@ class RationalFunction:
                 if den.is_zero():
                     raise ZeroDivisionError("division by zero polynomial")
                 raise ValueError(f"({num})/({den}) is not in Z[q, 1/(1-q)]")
-            if den.coeffs[-1] < 0:
+            if den.coeffs[0] < 0:
                 num = -num
             # cancel the multiplicity j of the root q = 1 of num
             cs, j = _divide_out_root_one(num.coeffs, k)
-            num, den = IntPolynomial._raw(cs), _q_minus_one_power(k - j)
+            num, den = IntPolynomial._raw(cs), _one_minus_q_power(k - j)
         _set_num(self, num)
         _set_den(self, den)
-
-    @classmethod
-    def _canonical(cls, num: IntPolynomial, k: int) -> RationalFunction:
-        """Internal constructor: num/(q-1)**k, k >= 0, in lowest terms; no checks."""
-        cs, j = _divide_out_root_one(num.coeffs, k)
-        if j:
-            num = IntPolynomial._raw(cs)
-        value = _new(cls)
-        _set_num(value, num)
-        _set_den(value, _q_minus_one_power(k - j))
-        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -575,14 +562,14 @@ class RationalFunction:
     def __add__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # each den is (q-1)**k with k = den.degree: lift the lower power
+        # each den is (1-q)**k with k = den.degree: lift the lower power
         a, b = self.num, other.num
         ka, kb = self.den.degree, other.den.degree
         if ka < kb:
-            a = a * _q_minus_one_power(kb - ka)
+            a = a * _one_minus_q_power(kb - ka)
         elif kb < ka:
-            b = b * _q_minus_one_power(ka - kb)
-        return RationalFunction._canonical(a + b, max(ka, kb))
+            b = b * _one_minus_q_power(ka - kb)
+        return over_one_minus_q((a + b).coeffs, max(ka, kb))
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
@@ -598,8 +585,8 @@ class RationalFunction:
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction._canonical(
-            self.num * other.num, self.den.degree + other.den.degree
+        return over_one_minus_q(
+            (self.num * other.num).coeffs, self.den.degree + other.den.degree
         )
 
     def evaluate(self, point: complex) -> complex:
@@ -611,7 +598,11 @@ class RationalFunction:
         return complex(self.num(z)) / complex(self.den(z))
 
     def to_json(self) -> dict[str, list[str]]:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        """num and den over the denominator (q-1)**k."""
+        num, den = self.num, self.den
+        if den.degree % 2:
+            num, den = -num, -den
+        return {"num": num.to_json(), "den": den.to_json()}
 
     @classmethod
     def from_json(cls, data: dict[str, Sequence[str]]) -> RationalFunction:
@@ -624,15 +615,10 @@ class RationalFunction:
         if self.den == ONE:
             yield from self.num.str_parts()
             return
-        num, den = self.num, self.den
-        trailing = next(c for c in den.coeffs if c != 0)
-        if trailing < 0:
-            # display-only sign flip so common values read like (1+q^2)/(1-q)
-            num, den = -num, -den
         yield "("
-        yield from num.str_parts()
+        yield from self.num.str_parts()
         yield ")/("
-        yield from den.str_parts()
+        yield from self.den.str_parts()
         yield ")"
 
     def __str__(self) -> str:
@@ -644,17 +630,14 @@ _set_den = RationalFunction.den.__set__
 
 
 def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
-    """The value cs / (1-q)^k, for coefficients cs with no trailing zero."""
-    if k % 2:
-        cs = tuple([-c for c in cs])
-    return RationalFunction._canonical(IntPolynomial._raw(cs), k)
-
-
-def one_minus_q_form(value: RationalFunction) -> tuple[tuple[int, ...], int]:
-    """(cs, k) with value = cs / (1-q)^k, the inverse of over_one_minus_q."""
-    k = value.den.degree
-    cs = value.num.coeffs
-    return (tuple([-c for c in cs]) if k % 2 else cs), k
+    """The canonical value cs / (1-q)^k, for coefficients cs with no
+    trailing zero and k >= 0: the package's own constructor, which only
+    divides the root q = 1 out of cs and checks nothing."""
+    cs, j = _divide_out_root_one(cs, k)
+    value = _new(RationalFunction)
+    _set_num(value, IntPolynomial._raw(cs))
+    _set_den(value, _one_minus_q_power(k - j))
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -94,7 +94,6 @@ from .exactarith import (
     kronecker_pack,
     kronecker_respace,
     kronecker_unpack,
-    one_minus_q_form,
     over_one_minus_q,
     xi,
 )
@@ -195,7 +194,7 @@ class _Overflow(Exception):
 
 def _factor(value: RationalFunction, bits: int) -> tuple[int, int, int, int]:
     """The packed factor of a nonzero value of Z[q, 1/(1-q)]."""
-    cs, k = one_minus_q_form(value)
+    cs, k = value.num.coeffs, value.den.degree
     m = next(i for i, c in enumerate(cs) if c)
     return m * bits, kronecker_pack(cs[m:], bits), k, sum(map(abs, cs))
 
@@ -260,14 +259,13 @@ class _Cores:
     def pack(self, p: NCPolynomial) -> dict:
         """The packed values of the terms of p, widening first if one of
         their bounds does not fit."""
-        forms = {w: one_minus_q_form(c) for w, c in p.items()}
-        bounds = {w: sum(map(abs, cs)) for w, (cs, _) in forms.items()}
+        bounds = {w: sum(map(abs, c.num.coeffs)) for w, c in p.items()}
         bound = max(bounds.values(), default=0)
         if bound >> (self.bits - 1):
             self.widen(bound, {})
         return {
-            w: (kronecker_pack(cs, self.bits), k, bounds[w])
-            for w, (cs, k) in forms.items()
+            w: (kronecker_pack(c.num.coeffs, self.bits), c.den.degree, bounds[w])
+            for w, c in p.items()
         }
 
     def run(self, work: Generator[str, None, dict]) -> dict:

@@ -15,6 +15,8 @@ detail.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
+from typing import Iterator
 
 from .exactarith import (
     IntPolynomial,
@@ -126,18 +128,11 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
         raise ValueError("indices must be >= 0")
     phi = phi_closed(beta)
     num = _times_multinomial(phi.num.coeffs, alpha, beta, gamma, 2)
-    return RationalFunction._canonical(IntPolynomial._raw(num), phi.den.degree)
+    return over_one_minus_q(num, phi.den.degree)
 
 
-# (b, N_(b-1), N_b) for the last index phi_recursive reached; a call at a
-# larger index runs on from there, so calls in increasing beta cost one step
-# each.  The tuple is replaced whole and read once per call, so a reader
-# never sees a torn state.
-_phi_last = (1, ONE, ONE)
-
-
-def phi_recursive(beta: int) -> RationalFunction:
-    """phi_beta from the three-term recursion.
+def phi_sequence() -> Iterator[RationalFunction]:
+    """phi_0, phi_1, phi_2, ... from the three-term recursion.
 
     phi_0 = phi_1 = 1 and phi_b = phi_(b-1) + xi * [b-1]' * phi_(b-2)
     with [.]' the base-q^2 q-integer.  The loop runs it on the numerators
@@ -145,19 +140,22 @@ def phi_recursive(beta: int) -> RationalFunction:
     N_b = N_(b-1) (1-q)^[b even] + (q+q^2) [b-1]' N_(b-2).  Kept as an
     independent route so the closed form can be cross-checked against it.
     """
-    global _phi_last
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    last = _phi_last
-    b, older, old = last if last[0] <= beta else (1, ONE, ONE)
-    while b < beta:
-        b += 1
+    yield RF_ONE
+    yield RF_ONE
+    older, old = ONE, ONE
+    for b in count(2):
         head = old - IntPolynomial._raw((0,) + old.coeffs) if b % 2 == 0 else old
         # (q + q^2) [b-1]' = q [2b-2]: one q-integer step and a shift
         step = IntPolynomial._raw((0,) + times_q_int(older.coeffs, 2 * b - 2))
         older, old = old, head + step
-    _phi_last = (b, older, old)
-    return over_one_minus_q(old.coeffs, beta // 2)
+        yield over_one_minus_q(old.coeffs, b // 2)
+
+
+def phi_recursive(beta: int) -> RationalFunction:
+    """phi_beta, item beta of :func:`phi_sequence`."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    return next(islice(phi_sequence(), beta, None))
 
 
 @lru_cache(maxsize=None)

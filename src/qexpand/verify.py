@@ -55,7 +55,7 @@ from .ordering import (
 from .qnumbers import (
     gaussian_binomial,
     phi_closed,
-    phi_recursive,
+    phi_sequence,
     q2_multinomial,
     q_int,
     theta_a,
@@ -327,9 +327,8 @@ def verify_phi(max_beta: int) -> VerificationSummary:
     """Check that the recursion and the closed form agree for every beta."""
     if max_beta < 2:
         raise ValueError("max_beta must be >= 2")
-    return _tally(
-        "phi", (phi_recursive(beta) != phi_closed(beta) for beta in range(max_beta + 1))
-    )
+    recursion = zip(phi_sequence(), range(max_beta + 1))
+    return _tally("phi", (phi != phi_closed(beta) for phi, beta in recursion))
 
 
 def verify_degenerations(

@@ -150,6 +150,25 @@ class TestExpandAndNormalize:
             "f3e2e24f4dbc8d00e97729727566f0079a82e3e99173cff294f4822c3745b7a0"
         )
 
+    def test_formula_outputs_are_pinned(self, capsys):
+        # digest of the text and JSON output of the formula verbs, whose
+        # values carry denominators (1-q)^k of both parities of k
+        calls = [["expand", "--system", "B", "--n", "12"]]
+        for route in ("closed", "recursive"):
+            calls += [["phi", "--beta", str(b), "--route", route] for b in range(10)]
+        for alpha, beta, gamma in ((3, 7, 2), (0, 5, 1)):
+            calls.append(["coeff", "--system", "B", "--alpha", str(alpha),
+                          "--beta", str(beta), "--gamma", str(gamma)])
+        digest = hashlib.sha256()
+        for argv in calls:
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "124194272dfed6cae6e5987899d369d170ead8daa1eab3d0eb3fcdc77636316c"
+        )
+
 
 class TestStreamedOutput:
     """expand and normalize write term by term, with the bytes of the whole."""

@@ -219,7 +219,7 @@ class TestPhi:
             assert phi_recursive(beta) == phi_closed(beta)
 
     def test_recursion_agrees_in_any_call_order(self):
-        # phi_recursive runs on from the last index it reached, or restarts
+        # phi_recursive keeps no state between calls
         for beta in (9, 3, 12, 12, 0, 7, 25, 1, 2, 24):
             assert phi_recursive(beta) == phi_closed(beta)
 
@@ -412,10 +412,9 @@ def test_gaussian_binomial_past_the_recursion_limit(cold_qnumbers_caches, n, k, 
     assert gaussian_binomial(n, k, power) == q_int(n, power)
 
 
-def test_families_are_thread_safe(cold_qnumbers_caches, monkeypatch):
-    # gaussian_binomial is stateless; phi_recursive runs on from the last
-    # index any call reached, the one module-level state of qnumbers, so
-    # shuffled orders make it start over and run on across threads
+def test_families_are_thread_safe(cold_qnumbers_caches):
+    # both families are pure functions of their indices, computed in
+    # shuffled orders on many threads at once
     cases = [
         (gaussian_binomial, (n, k, p))
         for p in (1, 2)
@@ -424,7 +423,6 @@ def test_families_are_thread_safe(cold_qnumbers_caches, monkeypatch):
     ]
     cases += [(phi_recursive, (beta,)) for beta in range(40)]
     expected = [family(*args) for family, args in cases]
-    monkeypatch.setattr(qnumbers, "_phi_last", (1, ONE, ONE))
     results = {}
 
     def work(seed):

@@ -283,12 +283,13 @@ class TestSuitesCanFail:
         assert (summary.cases, summary.failures) == (82, 1)
 
     def test_phi_counts_one_wrong_beta(self, monkeypatch):
-        original = verify.phi_recursive
+        original = verify.phi_sequence
 
-        def recursive(beta):
-            return original(beta) + (RF_ONE if beta == 7 else RF_ZERO)
+        def recursive():
+            for beta, phi in enumerate(original()):
+                yield phi + (RF_ONE if beta == 7 else RF_ZERO)
 
-        monkeypatch.setattr(verify, "phi_recursive", recursive)
+        monkeypatch.setattr(verify, "phi_sequence", recursive)
         summary = verify_phi(10)
         assert (summary.cases, summary.failures) == (11, 1)
 
