@@ -131,31 +131,37 @@ def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     return over_one_minus_q(num, phi.den.degree)
 
 
-def phi_sequence() -> Iterator[RationalFunction]:
-    """phi_0, phi_1, phi_2, ... from the three-term recursion.
-
-    phi_0 = phi_1 = 1 and phi_b = phi_(b-1) + xi * [b-1]' * phi_(b-2)
-    with [.]' the base-q^2 q-integer.  The loop runs it on the numerators
-    N_b = phi_b (1-q)^(b//2), which satisfy N_0 = N_1 = 1 and
-    N_b = N_(b-1) (1-q)^[b even] + (q+q^2) [b-1]' N_(b-2).  Kept as an
-    independent route so the closed form can be cross-checked against it.
-    """
-    yield RF_ONE
-    yield RF_ONE
+def _phi_numerators() -> Iterator[tuple[tuple[int, ...], int]]:
+    """(N_b, b//2) for b = 0, 1, 2, ...: the coefficients of the numerators
+    N_b = phi_b (1-q)^(b//2) of the three-term recursion, which satisfy
+    N_0 = N_1 = 1 and N_b = N_(b-1) (1-q)^[b even] + (q+q^2) [b-1]' N_(b-2)."""
+    yield ONE.coeffs, 0
+    yield ONE.coeffs, 0
     older, old = ONE, ONE
     for b in count(2):
         head = old - IntPolynomial._raw((0,) + old.coeffs) if b % 2 == 0 else old
         # (q + q^2) [b-1]' = q [2b-2]: one q-integer step and a shift
         step = IntPolynomial._raw((0,) + times_q_int(older.coeffs, 2 * b - 2))
         older, old = old, head + step
-        yield over_one_minus_q(old.coeffs, b // 2)
+        yield old.coeffs, b // 2
+
+
+def phi_sequence() -> Iterator[RationalFunction]:
+    """phi_0, phi_1, phi_2, ... from the three-term recursion.
+
+    phi_0 = phi_1 = 1 and phi_b = phi_(b-1) + xi * [b-1]' * phi_(b-2)
+    with [.]' the base-q^2 q-integer, run on the numerators over
+    (1-q)^(b//2).  Kept as an independent route so the closed form can be
+    cross-checked against it.
+    """
+    return (over_one_minus_q(cs, k) for cs, k in _phi_numerators())
 
 
 def phi_recursive(beta: int) -> RationalFunction:
-    """phi_beta, item beta of :func:`phi_sequence`."""
+    """phi_beta, item beta of :func:`phi_sequence`, the only item it builds."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return next(islice(phi_sequence(), beta, None))
+    return over_one_minus_q(*next(islice(_phi_numerators(), beta, None)))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,10 @@ decoded ``NCPolynomial`` values only: every step of one pass to
 
 The formula route walks each row of fixed beta: neighbouring coefficients
 differ by a ratio of q-integers, so each costs one O(degree) step of
-:func:`~qexpand.exactarith.q_ratio` from the last.  The degenerate limits
+:func:`~qexpand.exactarith.q_ratio` from the last.  Every family is
+symmetric in alpha and gamma, as [n, k] = [n, n-k], so the walk steps only
+the first half of a row and gives each term past the middle the value
+built at its mirror index, gamma for alpha.  The degenerate limits
 are walks too: System A at c = 0 is the beta = 0 row of System A, whose
 coefficients are the q-binomials, and System B at xi = 0 is the walk of
 System B with phi = 1, whose coefficients are the base-q^2 multinomials.
@@ -220,9 +223,11 @@ def base_sum(system: RelationSystem) -> NCPolynomial:
 
 
 def _walk(system: RelationSystem, n: int) -> Iterator[tuple[str, RationalFunction]]:
-    """Every term of the degree-n expansion, row by row in beta.  Each
-    coefficient is a numerator over (1-q)^k, one q-integer step from the
-    last (two or three at a row head)."""
+    """Every term of the degree-n expansion, row by row in beta, alpha
+    ascending.  Each coefficient is a numerator over (1-q)^k, one q-integer
+    step from the last (two or three at a row head), for alpha up to half
+    the row only: every family is symmetric in alpha and gamma, so the term
+    at alpha > gamma is the value already built at the mirrored index."""
     spec = _spec(system)
     first, middle, last = system.normal_order
     weight, p = spec.weight, spec.base
@@ -231,20 +236,24 @@ def _walk(system: RelationSystem, n: int) -> Iterator[tuple[str, RationalFunctio
         top = n - weight * beta
         if beta:
             head, k = spec.head(head, k, beta, top + weight)
-        cs = head
+        cs, half = head, [over_one_minus_q(head, k)]
+        for alpha in range(1, top // 2 + 1):
+            cs = q_ratio(cs, (top - alpha + 1) * p, alpha * p)
+            half.append(over_one_minus_q(cs, k))
         for alpha in range(top + 1):
-            if alpha:
-                cs = q_ratio(cs, (top - alpha + 1) * p, alpha * p)
             word = first * alpha + middle * beta + last * (top - alpha)
-            yield word, over_one_minus_q(cs, k)
+            yield word, half[min(alpha, top - alpha)]
 
 
 def expand_formula(system: RelationSystem, n: int) -> NCPolynomial:
     """The degree-n expansion assembled directly from the coefficient family,
-    one row walk per power of the middle letter."""
+    one half-row walk per power of the middle letter.  The walk's words are
+    distinct and spelt in the system's validated normal-order letters, and
+    each coefficient is a product of nonzero q-integer ratios, so the terms
+    go into the polynomial as they are, with no merge and no zero test."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return NCPolynomial(_walk(system, n))
+    return NCPolynomial._from_reduced(dict(_walk(system, n)))
 
 
 def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:

@@ -223,6 +223,17 @@ class TestPhi:
         for beta in (9, 3, 12, 12, 0, 7, 25, 1, 2, 24):
             assert phi_recursive(beta) == phi_closed(beta)
 
+    def test_recursion_builds_only_the_item_asked_for(self, monkeypatch):
+        expected, built = phi_closed(41), []
+
+        def counted(cs, k):
+            built.append(k)
+            return exactarith.over_one_minus_q(cs, k)
+
+        monkeypatch.setattr(qnumbers, "over_one_minus_q", counted)
+        assert phi_recursive(41) == expected
+        assert built == [20]
+
 
 class TestPsi:
     def test_first_factor(self):

@@ -7,7 +7,14 @@ import json
 import pytest
 
 import qexpand
-from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RF_ZERO, RationalFunction
+from qexpand.exactarith import (
+    IntPolynomial,
+    ONE,
+    RF_ONE,
+    RF_ZERO,
+    RationalFunction,
+    q_ratio,
+)
 from qexpand.freealgebra import NCPolynomial
 from qexpand import qnumbers, verify
 from qexpand.ordering import (
@@ -104,6 +111,38 @@ class TestWalk:
                 for a, b, g in _indices(spec.weight, n)
             )
             assert expand_formula(system, n) == expected
+
+    @pytest.mark.parametrize("system", list(SPECS), ids=lambda s: s.name)
+    def test_families_are_symmetric_in_alpha_and_gamma(self, system):
+        # the walk builds half of each row and mirrors the rest
+        spec = SPECS[system]
+        for n in range(1, 21):
+            for a, b, g in _indices(spec.weight, n):
+                assert spec.family(a, b, g) == spec.family(g, b, a)
+
+    def test_walk_steps_only_half_of_each_row(self, monkeypatch):
+        calls = []
+
+        def counted(cs, a, b):
+            calls.append((a, b))
+            return q_ratio(cs, a, b)
+
+        monkeypatch.setattr(verify, "q_ratio", counted)
+        expand_formula(SYSTEM_A, 24)
+        # one step per alpha in 1..top//2 of each row top = 24 - 2 beta, and
+        # one at each of the 12 row heads; a step per term would be 168
+        assert len(calls) == sum(top // 2 for top in range(0, 25, 2)) + 12 == 90
+
+    @pytest.mark.parametrize("system", list(SPECS), ids=lambda s: s.name)
+    def test_expansion_has_a_nonzero_term_at_every_index(self, system):
+        # expand_formula skips the merge and the zero test, which is sound
+        # only while every walked index gives one distinct nonzero term
+        spec = SPECS[system]
+        for n in range(1, 21):
+            terms = expand_formula(system, n).items()
+            indices = [i for i in _indices(spec.weight, n) if spec.head or not i[1]]
+            assert len(terms) == len(indices)
+            assert not any(c.is_zero() for _, c in terms)
 
 
 class TestSystemRecord:
@@ -276,6 +315,15 @@ class TestSuitesCanFail:
         assert reports[3].to_json()["mismatches"] == [
             {"word": "bca", "formula": wrong.to_json(), "oracle": right.to_json()}
         ]
+
+    def test_lemma_reports_one_mismatch_off_the_mirror_line(self, wrong_formula_term):
+        # bbca (alpha 2, gamma 1) shares its value with its mirror bcaa
+        right = theta_a(2, 1, 1)
+        wrong_formula_term(SYSTEM_A, "bbca")
+        reports = verify_expansions(SYSTEM_A, 6)
+        assert [r.n for r in reports if not r.match] == [5]
+        assert reports[4].mismatches == (Mismatch("bbca", right + RF_ONE, right),)
+        assert reports[4].formula_terms.coefficient("bcaa") == right
 
     def test_degenerations_count_one_wrong_binomial(self, wrong_formula_term):
         wrong_formula_term(SYSTEM_A_C0, "bbaaaa")  # [6, 2]
