@@ -367,11 +367,13 @@ def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
     """
     limbs = -(-bits // 64)
     data = _respaced_digits(value, bits, 64 * limbs)
-    words = array("q", data), array("Q", data)
+    words = [array("q", data)]
+    if limbs > 1:
+        words.append(array("Q", data))
     if sys.byteorder == "big":
         for a in words:
             a.byteswap()
-    out = words[0][limbs - 1 :: limbs].tolist()
+    out = (words[0] if limbs == 1 else words[0][limbs - 1 :: limbs]).tolist()
     for j in range(limbs - 2, -1, -1):
         out = [h << 64 | l for h, l in zip(out, words[1][j::limbs].tolist())]
     while out and not out[-1]:

@@ -40,10 +40,18 @@ ends.  The needs of one word may nest as deep as the word is long, so
 they are walked on an explicit stack of suspended reductions, not by
 recursion.
 
-Every pattern ``xy`` has rank(x) > rank(y), so a prefix of rank-0 letters
-is inert: no pattern starts inside it, and no rewrite of the rest
-reaches it.  Hence normalize(P·X) = P·normalize(X) for such a prefix P,
-and the engine reduces only the core X after it.  One pass computes the
+A prefix can be inert for the letter x being appended.  Let t(x) be the
+lowest rank that a rewrite of a word whose letters rank at least rank(x)
+can bring in: from t = rank(x), t is lowered while a rule whose pattern
+letters both rank at least t brings in a letter ranked below t.  The
+letters ranked at least t(x) are then closed under the rules.  A normal
+word w before x splits into a prefix P of letters ranked at most t(x) and
+a rest whose letters, like x, rank above or at t(x); every word that a
+rewrite of the rest followed by x reaches keeps letters ranked at least
+t(x), so its junction with P stays in order, and since every pattern
+``xy`` has rank(x) > rank(y), no pattern starts inside P.  By unique
+normal forms, normalize(P·X) = P·normalize(X) for the core X = rest·x,
+and the engine reduces only the core.  One pass computes the
 normal forms of p, p s, p s^2, ... for a sum s of letters, with one table
 from each core to its reduction for all of its steps and for the
 insertions within each reduction, so each core is reduced once per pass;
@@ -62,21 +70,23 @@ the bounds and sums add them.  Two values over different powers of 1 - q
 are added over the higher: the numerator over the lower power is
 multiplied by (1-q)^d, whose 1-norm is 2^d, so its bound is multiplied
 by 2^d.  A reduced core term is stored as q^m R with R(0) != 0, so a
-monomial factor costs a shift.  Every coefficient of num is at most
-||num||_1 in size, so while b < 2^(W-1) the balanced base-2^W digits of
-N are exactly the coefficients of num (see
-:func:`~qexpand.exactarith.kronecker_unpack`), and N = 0 exactly when
-num = 0.  Every decode and every zero test is made only under that
-check: the bounds of a step, and of the sum that ends a core's
-reduction, are checked before any of its values is tested for zero,
-which covers every partial sum because bounds only grow as terms are
-added.  When a bound reaches 2^(W-1), the engine raises an internal
-overflow, re-spaces the step's input and the core table to a wider W
-(each value's digits copied by
-:func:`~qexpand.exactarith.kronecker_respace`, with no decode) and
-redoes the step.  Cores finished before the overflow stay in the table,
-so only the reductions then in progress are redone.  The bounds do not
-depend on W, so the redone work checks against the same bounds.
+monomial factor costs a shift, and is tagged when R is a q-integer
+[a] = 1 + q + ... + q^(a-1), the factor of every core of the built-in
+systems: a product by [a] is O(log a) shifts and sums.  Every
+coefficient of num is at most ||num||_1 in size, so while b < 2^(W-1)
+the balanced base-2^W digits of N are exactly the coefficients of num
+(see :func:`~qexpand.exactarith.kronecker_unpack`), and N = 0 exactly
+when num = 0.  Every decode and every zero test is made only under that
+check: each value of a step, and of the sum that ends a core's
+reduction, is tested for zero only after its bound is checked, which
+covers every partial sum because bounds only grow as terms are added.
+When a bound reaches 2^(W-1), the engine raises an internal overflow,
+re-spaces the step's input and the core table to a wider W (each value's
+digits copied by :func:`~qexpand.exactarith.kronecker_respace`, with no
+decode) and redoes the step.  Cores finished before the overflow stay in
+the table, so only the reductions then in progress are redone.  The
+bounds do not depend on W, so the redone work checks against the same
+bounds.
 Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
@@ -130,6 +140,8 @@ class RelationSystem:
                 f"no rule for out-of-order pattern {', '.join(map(repr, missing))} "
                 f"in system {name}"
             )
+        # letter x -> the letters inert before a core ending in x
+        self._inert = {x: self._inert_letters(x) for x in normal_order}
         for xy in self.rules:
             for yz in self.rules:
                 if xy[1] == yz[0]:
@@ -138,6 +150,23 @@ class RelationSystem:
     def order_key(self, word: str) -> tuple[int, str]:
         """Sort key under which deglex-larger words come first."""
         return (-len(word), word.translate(self._table))
+
+    def _inert_letters(self, x: str) -> str:
+        """The letters ranked at most t(x), the lowest rank that a rewrite of
+        a word whose letters rank at least rank(x) can bring in: from
+        t = rank(x), lower t while a rule whose pattern letters both rank at
+        least t brings in a letter ranked below t."""
+        rank, t = self.rank, self.rank[x]
+        # (the lower rank of a pattern, a rank its replacement brings in)
+        brought = [
+            (min(map(rank.get, pattern)), rank[letter])
+            for pattern, replacement in self.rules.items()
+            for word, _ in replacement.items()
+            for letter in word
+        ]
+        while (low := min([r for p, r in brought if p >= t], default=t)) < t:
+            t = low
+        return self.normal_order[: t + 1]
 
     def _check_rule(self, pattern: str, replacement: NCPolynomial) -> None:
         parse_word(pattern)
@@ -180,6 +209,8 @@ def _apply_at(word: str, i: int, rules: dict) -> list:
 
 # A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and
 # b >= ||num||_1; a packed factor (mW, R, k, b) for q^m R/(1-q)^k alike.
+# A stored core factor (mW, R, k, b, a) also has a tag a, with a > 0
+# exactly when R is the q-integer [a] = 1 + q + ... + q^(a-1).
 _START_BITS = 64
 
 
@@ -247,8 +278,8 @@ class _Cores:
         }
         self.table = {
             core: [
-                (w, (shift // old * bits, kronecker_respace(r, old, bits), k, b))
-                for w, (shift, r, k, b) in reduced
+                (w, (shift // old * bits, kronecker_respace(r, old, bits), k, b, a))
+                for w, (shift, r, k, b, a) in reduced
             ]
             for core, reduced in self.table.items()
         }
@@ -306,26 +337,34 @@ def _normalize_step(
     words w of the packed values ``terms`` and the letters x, zero terms
     dropped; _Overflow when a bound reaches 2^(W-1).  A word w x whose
     last pair is in order is normal, so its value carries over; otherwise
-    the rank-0 prefix of w is inert and the rest of w x is a core.
+    the prefix of w ranked at most t(x) is inert (see
+    :meth:`RelationSystem._inert_letters`) and the rest of w x is a core.
+    The letters ranked at least t(x) are closed under the rules, so every
+    word that a rewrite of the core reaches keeps them and stays in order
+    after the prefix, and by unique normal forms normalize(P core) =
+    P normalize(core).
 
     A generator for :meth:`_Cores.run`: it yields each core that the table
     lacks, resumes once that core is stored, and returns the normal form."""
-    rank, table, bits = cores.system.rank, cores.table, cores.bits
-    first = cores.system.normal_order[0]
+    rank, inert = cores.system.rank, cores.system._inert
+    table, bits = cores.table, cores.bits
     total: dict = {}
     for word, (n, k, b) in terms.items():
         for x in letters:
             if not word or rank[word[-1]] <= rank[x]:
                 _add(total, word + x, n, k, b, bits)
                 continue
-            rest = word.lstrip(first)
+            rest = word.lstrip(inert[x])
             prefix, core = word[: len(word) - len(rest)], rest + x
             reduced = table.get(core)
             if reduced is None:
                 yield core
                 reduced = table[core]
-            for w, (shift, r, kr, br) in reduced:
-                product = (n if r == 1 else n * r) << shift
+            for w, (shift, r, kr, br, a) in reduced:
+                if a == 1:  # [1] = 1: a monomial factor costs its shift alone
+                    product = n << shift
+                else:
+                    product = (_times_q_int(n, a, bits) if a else n * r) << shift
                 _add(total, prefix + w, product, k + kr, b * br, bits)
     return _checked(total, bits)
 
@@ -358,17 +397,39 @@ def _reduce_word(word: str, cores: _Cores) -> Generator[str, None, list]:
     for w, (n, k, b) in total.items():
         # n = 2^(mW) R(2^W) with 0 < |R(0)| < 2^(W-1), so m = v2(n) // W
         shift = ((n & -n).bit_length() - 1) // bits * bits
-        reduced.append((w, (shift, n >> shift, k, b)))
+        r = n >> shift
+        # R(2^W) (2^W - 1) + 1 is 2^(aW) exactly when R = [a]: packing is
+        # injective under the bound, and 2^W - 1 divides 2^e - 1 iff W | e
+        tag = (r << bits) - r + 1
+        a = (tag.bit_length() - 1) // bits if tag & (tag - 1) == 0 else 0
+        reduced.append((w, (shift, r, k, b, a)))
     return reduced
+
+
+def _times_q_int(n: int, a: int, bits: int) -> int:
+    """n times the q-integer [a] packed at width W = ``bits``, by doubling:
+    n[2m] = n[m] + (n[m] << mW) and n[m+1] = n + (n[m] << W)."""
+    x, m = n, 1
+    for bit in bin(a)[3:]:
+        x += x << m * bits
+        m += m
+        if bit == "1":
+            x = n + (x << bits)
+            m += 1
+    return x
 
 
 def _checked(terms: dict, bits: int) -> dict:
     """The packed values ``terms`` with the zero ones dropped; _Overflow,
-    before any zero test, when a bound reaches 2^(bits-1)."""
-    bound = max([v[2] for v in terms.values()], default=0)
-    if bound >> (bits - 1):
-        raise _Overflow(bound)
-    return {w: v for w, v in terms.items() if v[0]}
+    with the largest bound, when a bound reaches 2^(bits-1).  Each value
+    is tested for zero only after its own bound is checked."""
+    out = {}
+    for w, v in terms.items():
+        if v[2] >> (bits - 1):
+            raise _Overflow(max(v[2] for v in terms.values()))
+        if v[0]:
+            out[w] = v
+    return out
 
 
 def _power_pass(

@@ -269,11 +269,16 @@ def _pairs(
     formula: NCPolynomial, oracle: NCPolynomial
 ) -> Iterator[tuple[str, RationalFunction, RationalFunction]]:
     """Every word of either expansion, in term order, with both coefficients."""
-    for w in sorted(set(formula.words()) | set(oracle.words()), key=word_sort_key):
+    words = {w for w, _ in formula.items()} | {w for w, _ in oracle.items()}
+    for w in sorted(words, key=word_sort_key):
         yield w, formula.coefficient(w), oracle.coefficient(w)
 
 
 def _compare(formula: NCPolynomial, oracle: NCPolynomial) -> tuple[Mismatch, ...]:
+    """The words whose coefficients differ, in term order; no sort when the
+    two expansions agree."""
+    if formula == oracle:
+        return ()
     return tuple(Mismatch(w, f, o) for w, f, o in _pairs(formula, oracle) if f != o)
 
 

@@ -352,6 +352,21 @@ def _random_words(count, max_len, seed):
     ]
 
 
+def _lowering_system():
+    """A confluent system whose rule ac brings in b, ranked below a and c,
+    with the factor 2, which is no q-integer."""
+    two = RationalFunction(P((2,)))
+    return RelationSystem(
+        "lowering",
+        "bca",
+        {
+            "ab": NCPolynomial({"ba": RF_ONE, "c": RF_ONE}),
+            "ac": NCPolynomial({"ca": RF_ONE, "b": two}),
+            "cb": NCPolynomial({"bc": RF_ONE}),
+        },
+    )
+
+
 @pytest.fixture
 def widths(monkeypatch):
     """The width W after each widening of any ``_Cores`` from now on."""
@@ -433,6 +448,31 @@ class TestNormalizeProperties:
                 expected = prefix * normalize(word_poly(core), system) * suffix
                 assert normalize(whole, system) == expected
                 assert reduce_randomly(whole, system, rng) == expected
+        # a prefix that is inert only for the appended letter x: the rules
+        # keep the core's letters, ranked at least t(x), at or above t(x)
+        for system, inert, above in ((SYSTEM_A, "bc", "ca"), (SYSTEM_B, "cb", "ba")):
+            x = inert[-1]
+            assert system._inert[x] == inert
+            for _ in range(40):
+                prefix = word_poly("".join(y * rng.randint(0, 3) for y in inert))
+                rest = "".join(rng.choice(above) for _ in range(rng.randint(1, 6)))
+                core = word_poly(rest + x)
+                expected = prefix * normalize(core, system)
+                assert normalize(prefix * core, system) == expected
+                assert reduce_randomly(prefix * core, system, rng) == expected
+
+    def test_a_lowering_rule_narrows_the_inert_prefix(self, reduce_randomly):
+        # ac -> ca + 2b brings in b, ranked below both pattern letters, so
+        # before a core ending in c only b is inert, not c: c·ac is
+        # rewritten whole, and stripping its c would leave the word c·b
+        system = _lowering_system()
+        assert system._inert == {"b": "b", "c": "b", "a": "bca"}
+        expected = NCPolynomial({"bc": RationalFunction(P((2,))), "cca": RF_ONE})
+        assert normalize(word_poly("cac"), system) == expected
+        rng = random.Random(26)
+        for word in ["cac"] + _random_words(200, 7, seed=26):
+            p = word_poly(word)
+            assert normalize(p, system) == reduce_randomly(p, system, rng)
 
     def test_normalize_stores_nothing(self):
         system = RelationSystem("fresh", "bca", dict(SYSTEM_A.rules))
@@ -617,3 +657,85 @@ class TestPowerPass:
             SYSTEM_B, 10
         )
         assert mixed
+
+    def test_inert_prefixes_shrink_the_core_table(self, monkeypatch):
+        # cores that differ only in a prefix inert for their last letter
+        # share one reduction, e.g. the c^g a^h c of System A
+        reduced = []
+        reduce_word = ordering._reduce_word
+
+        def recording(word, cores):
+            reduced.append(word)
+            return reduce_word(word, cores)
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        for system, n, count in ((SYSTEM_A, 24, 177), (SYSTEM_B, 11, 75)):
+            reduced.clear()
+            normal_power(base_sum(system), _letters(system), n - 1, system)
+            assert len(reduced) == count
+
+
+def _packed_q_int(a, bits):
+    return kronecker_pack((1,) * a, bits)
+
+
+def _check_tags(reduced, bits):
+    """Assert that each stored factor is tagged a > 0 exactly when its R is
+    the packed q-integer [a]; return the number of untagged factors."""
+    untagged = 0
+    for _, (_, r, _, _, a) in reduced:
+        if a:
+            assert r == _packed_q_int(a, bits)
+        else:
+            untagged += 1
+            assert set(kronecker_unpack(r, bits)) != {1}
+    return untagged
+
+
+class TestQIntegerFactors:
+    def test_doubling_is_the_product_by_the_q_integer(self):
+        rng = random.Random(27)
+        for bits in (64, 136):
+            for a in range(1, 65):
+                n = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * bits))
+                assert ordering._times_q_int(n, a, bits) == n * _packed_q_int(a, bits)
+
+    def test_stored_factors_are_tagged_exactly_when_q_integers(
+        self, monkeypatch, reduce_randomly
+    ):
+        seen = []
+        reduce_word = ordering._reduce_word
+
+        def recording(word, cores):
+            reduced = yield from reduce_word(word, cores)
+            seen.append(_check_tags(reduced, cores.bits))
+            return reduced
+
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
+        for system, n in ((SYSTEM_A, 24), (SYSTEM_B, 11)):
+            seen.clear()
+            normal_power(base_sum(system), _letters(system), n - 1, system)
+            assert seen and not any(seen)  # every built-in core factor is [a]
+        # the factor 2 of the lowering system is no q-integer: n * r
+        seen.clear()
+        lowering = _lowering_system()
+        p = word_poly("cacab")
+        assert normalize(p, lowering) == reduce_randomly(p, lowering, random.Random(28))
+        assert any(seen)
+
+    def test_tags_survive_a_widening(self, monkeypatch):
+        tables = []
+        widen = ordering._Cores.widen
+
+        def recording(cores, bound, terms):
+            rewidened = widen(cores, bound, terms)
+            untagged = [_check_tags(r, cores.bits) for r in cores.table.values()]
+            tables.append((len(untagged), sum(untagged)))
+            return rewidened
+
+        monkeypatch.setattr(ordering._Cores, "widen", recording)
+        s = base_sum(SYSTEM_A)
+        result = normal_power(s, _letters(SYSTEM_A), 39, SYSTEM_A)
+        assert result == expand_formula(SYSTEM_A, 40)
+        assert any(size for size, _ in tables)  # a widening re-spaced cores
+        assert not any(untagged for _, untagged in tables)
