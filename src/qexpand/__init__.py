@@ -28,6 +28,7 @@ from .ordering import (
 from .qnumbers import (
     gaussian_binomial,
     phi_closed,
+    phi_closed_sequence,
     phi_recursive,
     phi_sequence,
     psi,
@@ -81,6 +82,7 @@ __all__ = [
     "phi_recursive",
     "phi_sequence",
     "phi_closed",
+    "phi_closed_sequence",
     "psi",
     "ExpansionReport",
     "VerificationSummary",

@@ -7,15 +7,17 @@ factor at a time by :func:`~qexpand.exactarith.q_ratio`, O(degree)
 additions per factor, with no polynomial product, gcd or general division.
 Each quotient in a chain is exact, because every partial product is itself
 a polynomial, so no step can fail on correct indices.  No family recurses
-on its index.  Results are memoized because the same indices recur
-constantly during verification; the caches are an observationally pure
-detail.
+on its index; psi(1), psi(2), ... are one chain, from which
+:func:`phi_closed_sequence` gives phi_0, phi_1, ... in closed form.
+Results are memoized because the same indices recur constantly during
+verification; the caches are an observationally pure detail.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count, islice
+from operator import add, sub
 from typing import Iterator
 
 from .exactarith import (
@@ -137,13 +139,13 @@ def _phi_numerators() -> Iterator[tuple[tuple[int, ...], int]]:
     N_0 = N_1 = 1 and N_b = N_(b-1) (1-q)^[b even] + (q+q^2) [b-1]' N_(b-2)."""
     yield ONE.coeffs, 0
     yield ONE.coeffs, 0
-    older, old = ONE, ONE
+    older, old = ONE.coeffs, ONE.coeffs
     for b in count(2):
-        head = old - IntPolynomial._raw((0,) + old.coeffs) if b % 2 == 0 else old
-        # (q + q^2) [b-1]' = q [2b-2]: one q-integer step and a shift
-        step = IntPolynomial._raw((0,) + times_q_int(older.coeffs, 2 * b - 2))
-        older, old = old, head + step
-        yield old.coeffs, b // 2
+        head = tuple(map(sub, old + (0,), (0,) + old)) if b % 2 == 0 else old
+        # (q + q^2) [b-1]' = q [2b-2]; the step has N_b's degree, above head's
+        step = (0,) + times_q_int(older, 2 * b - 2)
+        older, old = old, tuple(map(add, head, step)) + step[len(head):]
+        yield old, b // 2
 
 
 def phi_sequence() -> Iterator[RationalFunction]:
@@ -164,18 +166,25 @@ def phi_recursive(beta: int) -> RationalFunction:
     return over_one_minus_q(*next(islice(_phi_numerators(), beta, None)))
 
 
+def _psi_numerators() -> Iterator[tuple[int, ...]]:
+    """The coefficients of psi(1), psi(2), ...: psi(0) = 1 and psi(i) =
+    psi(i-1) [2i-1] [2] in base q^(2i)."""
+    cs = ONE.coeffs
+    for i in count(1):
+        cs = times_q_int(times_q_int(cs, 2 * i - 1), 2, 2 * i)
+        yield cs
+
+
 @lru_cache(maxsize=None)
 def psi(i: int) -> RationalFunction:
     """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]).
 
     Each quotient [4k]/[2k] is 1 + q^(2k), the q-integer [2] in base
-    q^(2k), so psi(i) is a loop of 2i q-integer steps.
+    q^(2k), so psi(i), item i-1 of the chain, costs 2i q-integer steps.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    cs = ONE.coeffs
-    for k in range(1, i + 1):
-        cs = times_q_int(times_q_int(cs, 2 * k - 1), 2, 2 * k)
+    cs = next(islice(_psi_numerators(), i - 1, None))
     return RationalFunction(IntPolynomial._raw(cs))
 
 
@@ -191,3 +200,12 @@ def phi_closed(beta: int) -> RationalFunction:
     if beta % 2:
         cs = times_q_int(cs, beta)
     return over_one_minus_q(cs, beta // 2)
+
+
+def phi_closed_sequence() -> Iterator[RationalFunction]:
+    """phi_0, phi_1, ... as :func:`phi_closed` gives them, from one pass of
+    the psi chain: phi_2i = psi(i)/(1-q)^i, phi_(2i+1) = [2i+1] phi_2i."""
+    yield from (RF_ONE, RF_ONE)
+    for i, cs in enumerate(_psi_numerators(), 1):
+        yield over_one_minus_q(cs, i)
+        yield over_one_minus_q(times_q_int(cs, 2 * i + 1), i)

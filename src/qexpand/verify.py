@@ -6,6 +6,9 @@ generators and normal-orders after every step.  The ``verify_*`` entry
 points compare the two routes exactly, check the coefficient recurrences
 and boundary values, the two routes to phi, the degenerate single-relation
 limits, and a numeric specialization at complex points on the unit circle.
+The recurrences sum on numerators: per term a family value num/(1-q)^k from
+its closed form times q^s (a shift), a q-integer or xi = q [2]/(1-q) (a shift,
+a step and k + 1), added over the top k with no polynomial product.
 
 The oracle route is :mod:`qexpand.ordering` alone, and it hands back
 decoded ``NCPolynomial`` values only: every step of one pass to
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 import cmath
 import time
-from itertools import chain
+from itertools import chain, zip_longest
+from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .exactarith import (
@@ -43,7 +47,6 @@ from .exactarith import (
     over_one_minus_q,
     q_ratio,
     times_q_int,
-    xi,
 )
 from .freealgebra import NCPolynomial, word_sort_key
 from .ordering import (
@@ -57,7 +60,7 @@ from .ordering import (
 )
 from .qnumbers import (
     gaussian_binomial,
-    phi_closed,
+    phi_closed_sequence,
     phi_sequence,
     q2_multinomial,
     q_int,
@@ -114,36 +117,43 @@ class VerificationSummary(NamedTuple):
         return self._asdict()
 
 
-def _theta_ext(theta, alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """The family theta at the indices, or zero when any index is negative."""
-    if min(alpha, beta, gamma) < 0:
-        return RF_ZERO
-    return theta(alpha, beta, gamma)
+def _term(theta, indices, shift=0, m=1, p=1, times_xi=False):
+    """(coefficients, k) of q^shift [m]_(q^p) xi^times_xi theta(*indices),
+    with theta = num / (1-q)^k; ((), 0) when an index is negative."""
+    if min(indices) < 0:
+        return (), 0
+    value = theta(*indices)
+    cs, k = value.num.coeffs, value.den.degree
+    if times_xi:
+        cs, k = times_q_int((0,) + cs, 2), k + 1
+    return (0,) * shift + times_q_int(cs, m, p), k
 
 
-def _q_power(k: int) -> RationalFunction:
-    return RationalFunction(IntPolynomial.monomial(k))
+def _sum_terms(*terms: tuple[tuple[int, ...], int]) -> RationalFunction:
+    """The sum of terms cs / (1-q)^k over the top k; one power lower (only
+    System B's beta-1 term can be) is lifted by one difference."""
+    top = max(k for _, k in terms)
+    lift = (tuple(map(sub, cs + (0,), (0,) + cs)) if k < top else cs for cs, k in terms)
+    total = list(map(sum, zip_longest(*lift, fillvalue=0)))
+    while total and not total[-1]:
+        total.pop()
+    return over_one_minus_q(tuple(total), top)
 
 
 def _recurrence_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    return (
-        _theta_ext(theta_a, alpha, beta, gamma - 1)
-        + _q_power(gamma + 2 * beta) * _theta_ext(theta_a, alpha - 1, beta, gamma)
-        + _q_power(gamma)
-        * RationalFunction(q_int(gamma + 1))
-        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
+    return _sum_terms(
+        _term(theta_a, (alpha, beta, gamma - 1)),
+        _term(theta_a, (alpha - 1, beta, gamma), gamma + 2 * beta),
+        _term(theta_a, (alpha, beta - 1, gamma + 1), gamma, gamma + 1),
     )
 
 
 def _recurrence_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    return (
-        _theta_ext(theta_b, alpha, beta, gamma - 1)
-        + _q_power(2 * gamma) * _theta_ext(theta_b, alpha, beta - 1, gamma)
-        + _q_power(2 * gamma + 2 * beta) * _theta_ext(theta_b, alpha - 1, beta, gamma)
-        + xi()
-        * _q_power(2 * gamma)
-        * RationalFunction(q_int(gamma + 1, 2))
-        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
+    return _sum_terms(
+        _term(theta_b, (alpha, beta, gamma - 1)),
+        _term(theta_b, (alpha, beta - 1, gamma), 2 * gamma),
+        _term(theta_b, (alpha - 1, beta, gamma), 2 * gamma + 2 * beta),
+        _term(theta_b, (alpha, beta - 2, gamma + 1), 2 * gamma, gamma + 1, 2, True),
     )
 
 
@@ -341,8 +351,8 @@ def verify_phi(max_beta: int) -> VerificationSummary:
     """Check that the recursion and the closed form agree for every beta."""
     if max_beta < 2:
         raise ValueError("max_beta must be >= 2")
-    recursion = zip(phi_sequence(), range(max_beta + 1))
-    return _tally("phi", (phi != phi_closed(beta) for phi, beta in recursion))
+    pairs = zip(phi_sequence(), phi_closed_sequence(), range(max_beta + 1))
+    return _tally("phi", (phi != closed for phi, closed, _ in pairs))
 
 
 def verify_degenerations(

@@ -47,9 +47,11 @@ def test_tracer_installs_reports_and_restores():
     try:
         assert tracer._restore, "the tracer rebound nothing"
         reports = verify.verify_expansions(SYSTEM_B, 4)
-        # the oracle multiplies packed integers, not polynomials; the
-        # recurrences still multiply IntPolynomials
+        # the oracle multiplies packed integers and the recurrences sum
+        # numerators, not polynomial products; the identity suite still
+        # multiplies IntPolynomials, (1+q) [2i+1]'
         verify.verify_recurrences(SYSTEM_B, 4)
+        verify.verify_identity_4i2(4)
     finally:
         tracer.uninstall()
 

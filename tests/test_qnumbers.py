@@ -15,8 +15,10 @@ from qexpand.freealgebra import NCPolynomial
 from qexpand.ordering import SYSTEM_A, SYSTEM_B, SYSTEMS, normalize
 from qexpand.qnumbers import (
     _odd_product,
+    _psi_numerators,
     gaussian_binomial,
     phi_closed,
+    phi_closed_sequence,
     phi_recursive,
     psi,
     q2_multinomial,
@@ -234,8 +236,27 @@ class TestPhi:
         assert phi_recursive(41) == expected
         assert built == [20]
 
+    def test_closed_sequence_gives_phi_closed(self):
+        values = list(zip(range(121), phi_closed_sequence()))
+        assert len(values) == 121
+        for beta, value in values:
+            expected = phi_closed(beta)
+            assert (value.num, value.den) == (expected.num, expected.den)
+
 
 class TestPsi:
+    def test_chain_matches_products_of_q_integers(self):
+        # psi(i) [2][4]...[2i] = [1][3]...[2i-1] [4][8]...[4i], all products
+        chain = list(zip(range(1, 11), _psi_numerators()))
+        assert len(chain) == 10
+        low, high = RF_ONE, RF_ONE
+        for i, cs in chain:
+            low *= RationalFunction(q_int(2 * i))
+            high *= RationalFunction(q_int(2 * i - 1))
+            high *= RationalFunction(q_int(4 * i))
+            assert RationalFunction(P(cs)) * low == high
+            assert psi(i) == RationalFunction(P(cs))
+
     def test_first_factor(self):
         assert psi(1) == rf((1, 0, 1))
 

@@ -25,7 +25,7 @@ from qexpand.ordering import (
     RelationSystem,
     is_normal,
 )
-from qexpand.qnumbers import phi_closed, q_int, theta_a
+from qexpand.qnumbers import phi_closed, q_int, theta_a, theta_b, xi
 from qexpand.verify import (
     SPECS,
     Mismatch,
@@ -256,6 +256,61 @@ class TestVerifyRecurrences:
         assert set(data) == {"suite", "cases", "failures", "duration_ms"}
 
 
+def _theta_ext(theta, alpha, beta, gamma):
+    """theta at the indices, or zero when any index is negative."""
+    if min(alpha, beta, gamma) < 0:
+        return RF_ZERO
+    return theta(alpha, beta, gamma)
+
+
+def _q_power(k):
+    return RationalFunction(P.monomial(k))
+
+
+def _reference_a(alpha, beta, gamma):
+    """The System A recurrence as a sum of RationalFunction products."""
+    return (
+        _theta_ext(theta_a, alpha, beta, gamma - 1)
+        + _q_power(gamma + 2 * beta) * _theta_ext(theta_a, alpha - 1, beta, gamma)
+        + _q_power(gamma)
+        * RationalFunction(q_int(gamma + 1))
+        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
+    )
+
+
+def _reference_b(alpha, beta, gamma):
+    """The System B recurrence as a sum of RationalFunction products."""
+    return (
+        _theta_ext(theta_b, alpha, beta, gamma - 1)
+        + _q_power(2 * gamma) * _theta_ext(theta_b, alpha, beta - 1, gamma)
+        + _q_power(2 * gamma + 2 * beta) * _theta_ext(theta_b, alpha - 1, beta, gamma)
+        + xi()
+        * _q_power(2 * gamma)
+        * RationalFunction(q_int(gamma + 1, 2))
+        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
+    )
+
+
+class TestRecurrencesOnNumerators:
+    @pytest.mark.parametrize(
+        "system, reference, max_degree",
+        [(SYSTEM_A, _reference_a, 14), (SYSTEM_B, _reference_b, 12)],
+        ids=["A", "B"],
+    )
+    def test_sums_equal_the_products(self, system, reference, max_degree):
+        spec = SPECS[system]
+        cases = negative = 0
+        for degree in range(max_degree + 1):
+            for alpha, beta, gamma in _indices(spec.weight, degree):
+                # a zero index sends some term of the recurrence below zero
+                negative += min(alpha, beta, gamma) == 0
+                value = spec.recurrence(alpha, beta, gamma)
+                expected = reference(alpha, beta, gamma)
+                assert (value.num, value.den) == (expected.num, expected.den)
+                cases += 1
+        assert negative and negative < cases
+
+
 class TestVerifyPhi:
     def test_through_twenty(self):
         summary = verify_phi(20)
@@ -338,6 +393,17 @@ class TestSuitesCanFail:
                 yield phi + (RF_ONE if beta == 7 else RF_ZERO)
 
         monkeypatch.setattr(verify, "phi_sequence", recursive)
+        summary = verify_phi(10)
+        assert (summary.cases, summary.failures) == (11, 1)
+
+    def test_phi_counts_one_wrong_closed_value(self, monkeypatch):
+        original = verify.phi_closed_sequence
+
+        def closed():
+            for beta, phi in enumerate(original()):
+                yield phi + (RF_ONE if beta == 4 else RF_ZERO)
+
+        monkeypatch.setattr(verify, "phi_closed_sequence", closed)
         summary = verify_phi(10)
         assert (summary.cases, summary.failures) == (11, 1)
 
