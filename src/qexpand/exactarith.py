@@ -13,24 +13,11 @@ their results with ``IntPolynomial._raw`` instead, which trusts its
 argument to be a tuple of ints with no trailing zero, so the check runs
 only on outside input.
 
-Multiplication by a monomial ``c*q**k`` is a shift and a scale.  Other
-products use a schoolbook loop over the nonzero coefficients of both
-operands while the shorter operand has fewer than ``_KRONECKER_MIN``
-coefficients, and Kronecker substitution from there on (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, section 8.4): both operands are
-packed into one integer, their values at q = 2**W, multiplied by
-CPython's Karatsuba, and unpacked.  One byte-aligned codec serves this
-product and the rewrite engine of :mod:`qexpand.ordering`, which keeps its
-coefficients packed for a whole pass: ``kronecker_pack``,
-``kronecker_respace`` (to a wider W, by strided copies of byte columns)
-and ``kronecker_unpack`` (reading 64-bit limbs with ``array``), on
-balanced base-2**W digits, W a multiple of 8, valid while every
-coefficient lies in [-2**(W-1), 2**(W-1)).  The crossover of 16 was
-measured again with this codec over the 2964 products without a monomial
-operand that ``verify --suite all`` and ``verify --suite recurrences
---bound 16`` make (CPython 3.11.7, shared 2-core x86_64 Xeon, three sets
-of runs): 16 was within 2% of the fastest in each, 12 and 24 within 8%;
-8 took 1-26% longer, 4 8-24%, 32 10-16%, 2 33-48%, schoolbook 22-31%.
+Products use one algorithm, a schoolbook loop over the nonzero
+coefficients of both operands.  The oracle keeps its coefficients packed
+and multiplies them as integers (Kronecker substitution, in
+:mod:`qexpand.ordering`), so the tests' references for the engine and
+for the recurrences, which multiply here, share no code with it.
 
 The only denominator the relations bring in is that of ``xi`` =
 (q+q^2)/(1-q), defined here for both routes, so every rule, every
@@ -57,17 +44,12 @@ generated kind would import ``inspect``, ``ast`` and ``dis`` at start-up.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
 from operator import add, index, neg, sub
 from typing import Iterable, Iterator, Sequence
-
-# Length of the shorter operand from which Kronecker substitution is used.
-_KRONECKER_MIN = 16
 
 _new = object.__new__
 
@@ -272,112 +254,12 @@ def _trimmed(out: list[int]) -> IntPolynomial:
 
 def _mul_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the product of two nonzero polynomials, len(a) >= len(b)."""
-    if b.count(0) == len(b) - 1:
-        return _shift_scale(a, len(b) - 1, b[-1])
-    if a.count(0) == len(a) - 1:
-        return _shift_scale(b, len(a) - 1, a[-1])
-    if len(b) >= _KRONECKER_MIN:
-        return _kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     nonzero_b = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
         if ca:
             for j, cb in nonzero_b:
                 out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _shift_scale(a: tuple[int, ...], shift: int, scale: int) -> tuple[int, ...]:
-    """Coefficients of a * scale * q**shift."""
-    if scale != 1:
-        a = tuple([c * scale for c in a])
-    return (0,) * shift + a if shift else a
-
-
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product coefficients by Kronecker substitution, len(a) >= len(b)."""
-    # no product coefficient exceeds len(b) * max|a| * max|b| in size
-    bound = len(b) * max(map(abs, a)) * max(map(abs, b))
-    bits = 8 * (bound.bit_length() // 8 + 1)
-    return kronecker_unpack(kronecker_pack(a, bits) * kronecker_pack(b, bits), bits)
-
-
-def _bias(count: int, bits: int) -> int:
-    """The sum of 2**(bits-1) * 2**(bits*i) over i < count."""
-    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * count, "little")
-
-
-def kronecker_pack(cs: Sequence[int], bits: int) -> int:
-    """The value at q = 2**bits of the polynomial with coefficients cs.
-
-    ``bits`` is a multiple of 8 and every coefficient lies in
-    [-2**(bits-1), 2**(bits-1)).  A bias of 2**(bits-1) makes each one a
-    nonnegative ``bits``-bit digit, so the digits pack with one
-    ``int.from_bytes``; the biases are subtracted again as one integer.
-    """
-    width, half = bits // 8, 1 << (bits - 1)
-    digits = b"".join([(c + half).to_bytes(width, "little") for c in cs])
-    return int.from_bytes(digits, "little") - _bias(len(cs), bits)
-
-
-_SIGN_FILL = bytes(128) + b"\xff" * 128  # top byte -> its sign extension
-
-
-def _respaced_digits(value: int, old: int, new: int) -> bytes:
-    """The balanced base-2**old digits of ``value`` as little-endian new-bit
-    two's complements (multiples of 8, new >= old): one ``(v + B) ^ B``, B
-    the bias at ``old``, then one strided slice assignment per byte column,
-    the sign byte filling the new top bytes.  A polynomial of d coefficients
-    in [-2**(old-1), 2**(old-1)) has a value at least 2**(old*(d-1)) / 3 in
-    size, so d <= ``count``."""
-    src, dst, count = old // 8, new // 8, abs(value).bit_length() // old + 2
-    bias = _bias(count, old)
-    data = ((value + bias) ^ bias).to_bytes(count * src, "little")
-    if dst == src:
-        return data
-    out = bytearray(count * dst)
-    for j in range(src):
-        out[j::dst] = data[j::src]
-    sign = data[src - 1 :: src].translate(_SIGN_FILL)
-    for j in range(src, dst):
-        out[j::dst] = sign
-    return out
-
-
-def kronecker_respace(value: int, old: int, new: int) -> int:
-    """The value at q = 2**new of the polynomial whose value at q = 2**old
-    is ``value``, for multiples of 8 with new >= old; every coefficient
-    must lie in [-2**(old-1), 2**(old-1)), which the caller must know from
-    a bound.  The digits move as bytes, in O(new/8) Python operations."""
-    data = _respaced_digits(value, old, new)
-    bias = _bias(len(data) * 8 // new, new)
-    return (int.from_bytes(data, "little") ^ bias) - bias
-
-
-def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
-    """The coefficients, with no trailing zero, of the polynomial whose
-    value at q = 2**bits is ``value``: its balanced base-2**bits digits.
-
-    The result is that polynomial only when each of its coefficients lies
-    in [-2**(bits-1), 2**(bits-1)); the caller must know this from a bound.
-    The digits are re-spaced to the next multiple W of 64 bits as
-    little-endian two's complements, and ``array`` reads them as W/64
-    64-bit limbs each (swapped on a big-endian machine): the top limb
-    signed, the lower ones unsigned, joined by ``h << 64 | l``.
-    """
-    limbs = -(-bits // 64)
-    data = _respaced_digits(value, bits, 64 * limbs)
-    words = [array("q", data)]
-    if limbs > 1:
-        words.append(array("Q", data))
-    if sys.byteorder == "big":
-        for a in words:
-            a.byteswap()
-    out = (words[0] if limbs == 1 else words[0][limbs - 1 :: limbs]).tolist()
-    for j in range(limbs - 2, -1, -1):
-        out = [h << 64 | l for h, l in zip(out, words[1][j::limbs].tolist())]
-    while out and not out[-1]:
-        out.pop()
     return tuple(out)
 
 

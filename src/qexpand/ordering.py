@@ -75,35 +75,39 @@ monomial factor costs a shift, and is tagged when R is a q-integer
 systems: a product by [a] is O(log a) shifts and sums.  Every
 coefficient of num is at most ||num||_1 in size, so while b < 2^(W-1)
 the balanced base-2^W digits of N are exactly the coefficients of num
-(see :func:`~qexpand.exactarith.kronecker_unpack`), and N = 0 exactly
-when num = 0.  Every decode and every zero test is made only under that
-check: each value of a step, and of the sum that ends a core's
-reduction, is tested for zero only after its bound is checked, which
-covers every partial sum because bounds only grow as terms are added.
-When a bound reaches 2^(W-1), the engine raises an internal overflow,
-re-spaces the step's input and the core table to a wider W (each value's
-digits copied by :func:`~qexpand.exactarith.kronecker_respace`, with no
-decode) and redoes the step.  Cores finished before the overflow stay in
-the table, so only the reductions then in progress are redone.  The
-bounds do not depend on W, so the redone work checks against the same
-bounds.
-Decoded results are built by
+(see :func:`kronecker_unpack`), and N = 0 exactly when num = 0.  Every
+decode and every zero test is made only under that check: each value of
+a step, and of the sum that ends a core's reduction, is tested for zero
+only after its bound is checked, which covers every partial sum because
+bounds only grow as terms are added.  When a bound reaches 2^(W-1), the
+engine raises an internal overflow, re-spaces the step's input and the
+core table to a wider W (each value's digits copied by
+:func:`kronecker_respace`, with no decode) and redoes the step.  Cores
+finished before the overflow stay in the table, so only the reductions
+then in progress are redone.  The bounds do not depend on W, so the
+redone work checks against the same bounds.
+
+This module is the only one that packs (Kronecker substitution: von zur
+Gathen and Gerhard, *Modern Computer Algebra*, section 8.4), with one
+byte-aligned codec on balanced base-2^W digits, W a multiple of 8:
+:func:`kronecker_pack`, :func:`kronecker_respace` (to a wider W, by
+strided copies of byte columns) and :func:`kronecker_unpack` (reading
+64-bit limbs with ``array``).  Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import islice
-from typing import Generator, Iterable, Iterator
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .exactarith import (
     IntPolynomial,
     RF_ONE,
     RationalFunction,
-    kronecker_pack,
-    kronecker_respace,
-    kronecker_unpack,
     over_one_minus_q,
     xi,
 )
@@ -205,6 +209,85 @@ def _apply_at(word: str, i: int, rules: dict) -> list:
     ``rules`` maps each pattern to its replacement's (word, factor) terms."""
     prefix, suffix = word[:i], word[i + 2 :]
     return [(prefix + w + suffix, f) for w, f in rules[word[i : i + 2]]]
+
+
+def _bias(count: int, bits: int) -> int:
+    """The sum of 2**(bits-1) * 2**(bits*i) over i < count."""
+    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * count, "little")
+
+
+def kronecker_pack(cs: Sequence[int], bits: int) -> int:
+    """The value at q = 2**bits of the polynomial with coefficients cs.
+
+    ``bits`` is a multiple of 8 and every coefficient lies in
+    [-2**(bits-1), 2**(bits-1)).  A bias of 2**(bits-1) makes each one a
+    nonnegative ``bits``-bit digit, so the digits pack with one
+    ``int.from_bytes``; the biases are subtracted again as one integer.
+    """
+    width, half = bits // 8, 1 << (bits - 1)
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+    return int.from_bytes(digits, "little") - _bias(len(cs), bits)
+
+
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # top byte -> its sign extension
+
+
+def _respaced_digits(value: int, old: int, new: int) -> bytes:
+    """The balanced base-2**old digits of ``value`` as little-endian new-bit
+    two's complements (multiples of 8, new >= old): one ``(v + B) ^ B``, B
+    the bias at ``old``, then one strided slice assignment per byte column,
+    the sign byte filling the new top bytes.  A polynomial of d coefficients
+    in [-2**(old-1), 2**(old-1)) has a value at least 2**(old*(d-1)) / 3 in
+    size, so d <= ``count``."""
+    src, dst, count = old // 8, new // 8, abs(value).bit_length() // old + 2
+    bias = _bias(count, old)
+    data = ((value + bias) ^ bias).to_bytes(count * src, "little")
+    if dst == src:
+        return data
+    out = bytearray(count * dst)
+    for j in range(src):
+        out[j::dst] = data[j::src]
+    sign = data[src - 1 :: src].translate(_SIGN_FILL)
+    for j in range(src, dst):
+        out[j::dst] = sign
+    return out
+
+
+def kronecker_respace(value: int, old: int, new: int) -> int:
+    """The value at q = 2**new of the polynomial whose value at q = 2**old
+    is ``value``, for multiples of 8 with new >= old; every coefficient
+    must lie in [-2**(old-1), 2**(old-1)), which the caller must know from
+    a bound.  The digits move as bytes, in O(new/8) Python operations."""
+    data = _respaced_digits(value, old, new)
+    bias = _bias(len(data) * 8 // new, new)
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
+    """The coefficients, with no trailing zero, of the polynomial whose
+    value at q = 2**bits is ``value``: its balanced base-2**bits digits.
+
+    The result is that polynomial only when each of its coefficients lies
+    in [-2**(bits-1), 2**(bits-1)); the caller must know this from a bound.
+    The digits are re-spaced to the next multiple W of 64 bits as
+    little-endian two's complements, and ``array`` reads them as W/64
+    64-bit limbs each (swapped on a big-endian machine): the top limb
+    signed, the lower ones unsigned, joined by ``h << 64 | l``.
+    """
+    limbs = -(-bits // 64)
+    data = _respaced_digits(value, bits, 64 * limbs)
+    words = [array("q", data)]
+    if limbs > 1:
+        words.append(array("Q", data))
+    if sys.byteorder == "big":
+        for a in words:
+            a.byteswap()
+    out = (words[0] if limbs == 1 else words[0][limbs - 1 :: limbs]).tolist()
+    for j in range(limbs - 2, -1, -1):
+        out = [h << 64 | l for h, l in zip(out, words[1][j::limbs].tolist())]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 # A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and

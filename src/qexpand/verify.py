@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .exactarith import (
     IntPolynomial,
     RF_ONE,
-    RF_ZERO,
     RationalFunction,
     over_one_minus_q,
     q_ratio,
@@ -59,10 +58,8 @@ from .ordering import (
     normal_powers,
 )
 from .qnumbers import (
-    gaussian_binomial,
     phi_closed_sequence,
     phi_sequence,
-    q2_multinomial,
     q_int,
     theta_a,
     theta_b,
@@ -157,16 +154,6 @@ def _recurrence_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     )
 
 
-def _binomial_family(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """System A at c = 0: [alpha + gamma, alpha] on words without c, else 0."""
-    return RF_ZERO if beta else RationalFunction(gaussian_binomial(alpha + gamma, alpha))
-
-
-def _multinomial_family(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """System B at xi = 0: the base-q^2 multinomial coefficient."""
-    return RationalFunction(q2_multinomial(alpha, beta, gamma))
-
-
 def _head_a(cs: tuple[int, ...], k: int, beta: int, gamma: int):
     """theta_A(0, beta, gamma-2) from theta_A(0, beta-1, gamma): the ratio
     [gamma][gamma-1]/[2 beta]."""
@@ -193,20 +180,21 @@ class SystemSpec(NamedTuple):
     letter of its normal order, the base q^base of the row step
     [gamma]/[alpha+1], the step from one row head to the next (None when
     only row 0 is nonzero), the family that gives one coefficient by its
-    own closed form, and the family's recurrence from lower indices."""
+    own closed form, and the family's recurrence from lower indices; the
+    degenerate limits have neither."""
 
     weight: int
     base: int
     head: Optional[Callable[..., tuple[tuple[int, ...], int]]]
-    family: Callable[..., RationalFunction]
+    family: Optional[Callable[..., RationalFunction]] = None
     recurrence: Optional[Callable[..., RationalFunction]] = None
 
 
 SPECS = {
     SYSTEM_A: SystemSpec(2, 1, _head_a, theta_a, _recurrence_a),
     SYSTEM_B: SystemSpec(1, 2, _head_b, theta_b, _recurrence_b),
-    SYSTEM_A_C0: SystemSpec(2, 1, None, _binomial_family),
-    SYSTEM_B_XI0: SystemSpec(1, 2, _head_multinomial, _multinomial_family),
+    SYSTEM_A_C0: SystemSpec(2, 1, None),
+    SYSTEM_B_XI0: SystemSpec(1, 2, _head_multinomial),
 }
 
 

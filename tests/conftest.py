@@ -15,9 +15,11 @@ def _reduce_randomly(p, system, rng):
 
     The deglex-largest pending word is rewritten first.  Every rule shrinks
     in deglex, so no later rewrite adds to that word, and each word is
-    rewritten once.  It reads only ``system.rules`` and ``system.rank``, so
-    it shares no code with the rewrite engine whose normal forms it is
-    compared with.
+    rewritten once.  It reads only ``system.rules`` and ``system.rank``, and
+    multiplies its coefficients as ``RationalFunction`` values, by the
+    schoolbook product at every coefficient size; the engine packs its
+    coefficients by a codec of its own.  So it shares no code with the
+    rewrite engine whose normal forms it is compared with.
     """
     rank = system.rank
     pending = {}

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qexpand.exactarith import (
-    _KRONECKER_MIN,
     IntPolynomial,
     ONE,
     Q,
@@ -20,16 +19,18 @@ from qexpand.exactarith import (
     RF_ZERO,
     RationalFunction,
     ZERO,
-    kronecker_pack,
-    kronecker_respace,
-    kronecker_unpack,
     over_one_minus_q,
     poly_gcd,
     q_ratio,
     times_q_int,
 )
 from qexpand import exactarith
-from qexpand.ordering import SYSTEM_B
+from qexpand.ordering import (
+    SYSTEM_B,
+    kronecker_pack,
+    kronecker_respace,
+    kronecker_unpack,
+)
 from qexpand.qnumbers import q_int
 from qexpand.verify import SPECS, Mismatch, VerificationSummary, verify_expansions
 
@@ -162,7 +163,7 @@ class TestQIntegerSteps:
             raise AssertionError("a q-integer step reached a product or division")
 
         c = (q_int(40) * q_int(35, 2)).coeffs
-        monkeypatch.setattr(exactarith, "_kronecker", forbidden)
+        monkeypatch.setattr(exactarith, "_mul_coeffs", forbidden)
         monkeypatch.setattr(exactarith, "poly_gcd", forbidden)
         monkeypatch.setattr(IntPolynomial, "exact_div", forbidden)
         assert q_ratio(times_q_int(c, 30, 2), 2, 30 * 2) == c
@@ -512,8 +513,8 @@ class TestEvaluate:
         assert abs(vxy - vx * vy) <= 1e-9 * max(1.0, abs(vxy), abs(vx * vy))
 
 
-# Differential tests against sympy.  Operand lengths straddle the Kronecker
-# crossover, and coefficients reach past 2**64 in both signs.
+# Differential tests against sympy.  Operands reach 48 coefficients, and
+# coefficients reach past 2**64 in both signs.
 
 QS = sympy.Symbol("q")
 big_coefficients = st.integers(min_value=-(2**70), max_value=2**70)
@@ -527,7 +528,7 @@ def dense(coeffs, max_len):
 
 def monomials(coeffs):
     nonzero = coeffs.filter(bool)
-    return st.builds(P.monomial, st.integers(0, 2 * _KRONECKER_MIN), nonzero)
+    return st.builds(P.monomial, st.integers(0, 32), nonzero)
 
 
 def sparse(coeffs, max_len):
@@ -536,9 +537,9 @@ def sparse(coeffs, max_len):
 
 
 operands = st.one_of(
-    dense(big_coefficients, 3 * _KRONECKER_MIN),
-    dense(st.integers(-3, 3), 3 * _KRONECKER_MIN),
-    sparse(big_coefficients, 3 * _KRONECKER_MIN),
+    dense(big_coefficients, 48),
+    dense(st.integers(-3, 3), 48),
+    sparse(big_coefficients, 48),
     monomials(big_coefficients),
     st.just(ZERO),
     st.just(ONE),
@@ -576,9 +577,9 @@ class TestAgainstSympy:
     def test_mul(self, x, y):
         assert x * y == from_sympy(to_sympy(x) * to_sympy(y))
 
-    def test_mul_kronecker_large_signed(self):
-        x = P(tuple((-1) ** k * (2**80 + k) for k in range(3 * _KRONECKER_MIN)))
-        y = P(tuple((-3) ** k for k in range(2 * _KRONECKER_MIN)))
+    def test_mul_large_signed(self):
+        x = P(tuple((-1) ** k * (2**80 + k) for k in range(48)))
+        y = P(tuple((-3) ** k for k in range(32)))
         assert x * y == from_sympy(to_sympy(x) * to_sympy(y))
         assert x * -y == -(x * y)
 

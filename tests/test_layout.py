@@ -61,3 +61,26 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.stdout == "[]\n"
+
+
+def test_only_the_oracle_route_packs():
+    # the tests' references multiply with exactarith, so a codec there
+    # would be shared by the engine and by what checks it
+    packers = set()
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, filename)) as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name, a.asname) if n]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            if any(name.startswith("kronecker_") for name in names):
+                packers.add(filename[: -len(".py")])
+    assert packers == {"ordering"}

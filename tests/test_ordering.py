@@ -13,8 +13,6 @@ from qexpand.exactarith import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
-    kronecker_pack,
-    kronecker_unpack,
     over_one_minus_q,
 )
 from qexpand.freealgebra import NCPolynomial
@@ -27,6 +25,8 @@ from qexpand.ordering import (
     SYSTEMS,
     RelationSystem,
     is_normal,
+    kronecker_pack,
+    kronecker_unpack,
     normal_power,
     normal_powers,
     normalize,
