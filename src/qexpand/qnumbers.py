@@ -7,10 +7,16 @@ factor at a time by :func:`~qexpand.exactarith.q_ratio`, O(degree)
 additions per factor, with no polynomial product, gcd or general division.
 Each quotient in a chain is exact, because every partial product is itself
 a polynomial, so no step can fail on correct indices.  No family recurses
-on its index; psi(1), psi(2), ... are one chain, from which
-:func:`phi_closed_sequence` gives phi_0, phi_1, ... in closed form.
-Results are memoized because the same indices recur constantly during
-verification; the caches are an observationally pure detail.
+on its index.
+
+Each coefficient family is one :class:`Family` record, the only place its
+factors are stated: theta(alpha, beta, gamma) = F(beta) [n; alpha, w beta,
+gamma] in base q^p, with F a chain of one step per beta.  theta_A has
+F(beta) = [1][3]...[2 beta - 1] and theta_B has F = phi, whose chain
+F(0), F(1), ... gives :func:`phi_closed_sequence` and :func:`psi`.  The
+formula walk of :mod:`qexpand.verify` reads the same records.  Results are
+memoized because the same indices recur constantly during verification;
+the caches are an observationally pure detail.
 """
 
 from __future__ import annotations
@@ -18,12 +24,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count, islice
 from operator import add, sub
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .exactarith import (
     IntPolynomial,
     ONE,
-    RF_ONE,
     RationalFunction,
     ZERO,
     over_one_minus_q,
@@ -86,51 +91,95 @@ def gaussian_binomial(n: int, k: int, power: int = 1) -> IntPolynomial:
     return IntPolynomial._raw(_times_multinomial(ONE.coeffs, k, n - k, 0, power))
 
 
-def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
-    """The base-q^2 multinomial [n, alpha]' [n-alpha, beta]', n = alpha+beta+gamma."""
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("indices must be >= 0")
-    return IntPolynomial._raw(_times_multinomial(ONE.coeffs, alpha, beta, gamma, 2))
+class Family(NamedTuple):
+    """A coefficient family theta(alpha, beta, gamma) = F(beta) [n; alpha,
+    weight*beta, gamma] in base q^base, n = alpha + weight*beta + gamma.
+
+    F(0) = 1, and ``factor(beta)`` = (a, b, d) states the step
+    F(beta)/F(beta-1) = (1-q^a) / (1-q^b) / (1-q)^d, with b dividing a, so
+    each F(beta) is a polynomial over (1-q)^k, k the sum of the steps' d;
+    a = 0 makes F zero past beta = 0.
+    """
+
+    weight: int
+    base: int
+    factor: Callable[[int], tuple[int, int, int]]
+
+
+def _odd_step(beta: int) -> tuple[int, int, int]:
+    """[2 beta - 1]: F(beta) = [1][3]...[2 beta - 1]."""
+    return 2 * beta - 1, 1, 0
+
+
+def _phi_step(beta: int) -> tuple[int, int, int]:
+    """phi_beta / phi_(beta-1): [beta] for odd beta, and for even beta
+    [2] in base q^beta, 1 + q^beta, over 1 - q."""
+    return (beta, 1, 0) if beta % 2 else (2 * beta, beta, 1)
+
+
+def _zero_step(beta: int) -> tuple[int, int, int]:
+    """1 - q^0 = 0: only the row beta = 0 is nonzero."""
+    return 0, 1, 0
+
+
+def _unit_step(beta: int) -> tuple[int, int, int]:
+    """(1-q)/(1-q) = 1: F = 1."""
+    return 1, 1, 0
+
+
+# System A's [n]!/([alpha]! [gamma]! [2][4]...[2 beta]), System B's
+# [n]'! phi_beta/([alpha]'! [beta]'! [gamma]'!), and their limits at c = 0
+# (the q-binomial [alpha + gamma, alpha]) and at xi = 0 (the q^2-multinomial)
+THETA_A = Family(2, 1, _odd_step)
+THETA_B = Family(1, 2, _phi_step)
+Q_BINOMIAL = Family(2, 1, _zero_step)
+Q2_MULTINOMIAL = Family(1, 2, _unit_step)
+
+
+def _factors(family: Family) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The F chain of a family: (cs, k) with F(beta) = cs / (1-q)^k for
+    beta = 0, 1, 2, ..., one q-integer step per beta."""
+    cs, k = ONE.coeffs, 0
+    for beta in count(1):
+        yield cs, k
+        a, b, d = family.factor(beta)
+        cs, k = q_ratio(cs, a, b), k + d
 
 
 @lru_cache(maxsize=None)
-def _odd_product(beta: int) -> IntPolynomial:
-    """The product [1][3]...[2*beta-1] of odd q-integers; 1 for beta = 0."""
-    cs = ONE.coeffs
-    for i in range(2, beta + 1):
-        cs = times_q_int(cs, 2 * i - 1)
-    return IntPolynomial._raw(cs)
+def _factor(family: Family, beta: int) -> tuple[tuple[int, ...], int]:
+    """F(beta) of a family as (cs, k), item beta of its chain."""
+    return next(islice(_factors(family), beta, None))
+
+
+def theta(family: Family, alpha: int, beta: int, gamma: int) -> RationalFunction:
+    """The family's value at one index: F(beta) times the multinomial."""
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError("indices must be >= 0")
+    cs, k = _factor(family, beta)
+    cs = _times_multinomial(cs, alpha, family.weight * beta, gamma, family.base)
+    return over_one_minus_q(cs, k)
+
+
+def q2_multinomial(alpha: int, beta: int, gamma: int) -> IntPolynomial:
+    """The base-q^2 multinomial [n, alpha]' [n-alpha, beta]', n = alpha+beta+gamma."""
+    return theta(Q2_MULTINOMIAL, alpha, beta, gamma).num
 
 
 @lru_cache(maxsize=None)
 def theta_a(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """Coefficient of b^alpha c^beta a^gamma in the system-A expansion.
-
-    Equal to [n]! / ([alpha]! [gamma]! [2][4]...[2*beta]) with
-    n = alpha + 2*beta + gamma, built as the multinomial [n; alpha, 2*beta,
-    gamma] times the odd product [1][3]...[2*beta-1].
-    """
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("indices must be >= 0")
-    odd = _odd_product(beta).coeffs
-    return RationalFunction(
-        IntPolynomial._raw(_times_multinomial(odd, alpha, 2 * beta, gamma))
-    )
+    """Coefficient of b^alpha c^beta a^gamma in the system-A expansion:
+    [n]! / ([alpha]! [gamma]! [2][4]...[2*beta]) with n = alpha + 2*beta +
+    gamma, the record ``THETA_A``."""
+    return theta(THETA_A, alpha, beta, gamma)
 
 
 @lru_cache(maxsize=None)
 def theta_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
-    """Coefficient of c^alpha b^beta a^gamma in the system-B expansion.
-
-    Equal to [n]'! phi_beta / ([alpha]'! [beta]'! [gamma]'!) where [.]' is
-    the base-q^2 analog and n = alpha + beta + gamma: the numerator of
-    phi_beta times the base-q^2 multinomial, over phi_beta's denominator.
-    """
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("indices must be >= 0")
-    phi = phi_closed(beta)
-    num = _times_multinomial(phi.num.coeffs, alpha, beta, gamma, 2)
-    return over_one_minus_q(num, phi.den.degree)
+    """Coefficient of c^alpha b^beta a^gamma in the system-B expansion:
+    [n]'! phi_beta / ([alpha]'! [beta]'! [gamma]'!) where [.]' is the
+    base-q^2 analog and n = alpha + beta + gamma, the record ``THETA_B``."""
+    return theta(THETA_B, alpha, beta, gamma)
 
 
 def _phi_numerators() -> Iterator[tuple[tuple[int, ...], int]]:
@@ -166,46 +215,23 @@ def phi_recursive(beta: int) -> RationalFunction:
     return over_one_minus_q(*next(islice(_phi_numerators(), beta, None)))
 
 
-def _psi_numerators() -> Iterator[tuple[int, ...]]:
-    """The coefficients of psi(1), psi(2), ...: psi(0) = 1 and psi(i) =
-    psi(i-1) [2i-1] [2] in base q^(2i)."""
-    cs = ONE.coeffs
-    for i in count(1):
-        cs = times_q_int(times_q_int(cs, 2 * i - 1), 2, 2 * i)
-        yield cs
-
-
-@lru_cache(maxsize=None)
 def psi(i: int) -> RationalFunction:
-    """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]).
-
-    Each quotient [4k]/[2k] is 1 + q^(2k), the q-integer [2] in base
-    q^(2k), so psi(i), item i-1 of the chain, costs 2i q-integer steps.
-    """
+    """The alternating product ([4]/[2]) [3] ([8]/[4]) [5] ... [2i-1] ([4i]/[2i]),
+    phi_2i (1-q)^i: item 2i of the F chain of ``THETA_B``, 2i - 1 steps."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    cs = next(islice(_psi_numerators(), i - 1, None))
-    return RationalFunction(IntPolynomial._raw(cs))
+    return RationalFunction(IntPolynomial._raw(_factor(THETA_B, 2 * i)[0]))
 
 
-@lru_cache(maxsize=None)
 def phi_closed(beta: int) -> RationalFunction:
-    """phi_beta in closed form: psi(i) / (1-q)^i for beta = 2i, and
-    [2i+1] psi(i) / (1-q)^i for beta = 2i+1; phi_0 = phi_1 = 1."""
+    """phi_beta in closed form, F(beta) of ``THETA_B``: psi(i) / (1-q)^i for
+    beta = 2i, and [2i+1] psi(i) / (1-q)^i for beta = 2i+1; phi_0 = phi_1 = 1."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if beta <= 1:
-        return RF_ONE
-    cs = psi(beta // 2).num.coeffs
-    if beta % 2:
-        cs = times_q_int(cs, beta)
-    return over_one_minus_q(cs, beta // 2)
+    return over_one_minus_q(*_factor(THETA_B, beta))
 
 
 def phi_closed_sequence() -> Iterator[RationalFunction]:
     """phi_0, phi_1, ... as :func:`phi_closed` gives them, from one pass of
-    the psi chain: phi_2i = psi(i)/(1-q)^i, phi_(2i+1) = [2i+1] phi_2i."""
-    yield from (RF_ONE, RF_ONE)
-    for i, cs in enumerate(_psi_numerators(), 1):
-        yield over_one_minus_q(cs, i)
-        yield over_one_minus_q(times_q_int(cs, 2 * i + 1), i)
+    the F chain of ``THETA_B``."""
+    return (over_one_minus_q(cs, k) for cs, k in _factors(THETA_B))

@@ -19,10 +19,12 @@ differ by a ratio of q-integers, so each costs one O(degree) step of
 :func:`~qexpand.exactarith.q_ratio` from the last.  Every family is
 symmetric in alpha and gamma, as [n, k] = [n, n-k], so the walk steps only
 the first half of a row and gives each term past the middle the value
-built at its mirror index, gamma for alpha.  The degenerate limits
-are walks too: System A at c = 0 is the beta = 0 row of System A, whose
-coefficients are the q-binomials, and System B at xi = 0 is the walk of
-System B with phi = 1, whose coefficients are the base-q^2 multinomials.
+built at its mirror index, gamma for alpha.  The walk reads each system's
+family from its :class:`~qexpand.qnumbers.Family` record, theta = F(beta)
+times a multinomial, and states no factor of its own.  The degenerate
+limits are walks of records too: System A at c = 0 has F = 0 past beta = 0,
+so only its row 0, the q-binomials, and System B at xi = 0 has F = 1, the
+base-q^2 multinomials.
 
 Verification failures are data (counted and reported), never exceptions.
 Every step of the walk is an exact division on correct code, so a step
@@ -58,6 +60,11 @@ from .ordering import (
     normal_powers,
 )
 from .qnumbers import (
+    Q2_MULTINOMIAL,
+    Q_BINOMIAL,
+    THETA_A,
+    THETA_B,
+    Family,
     phi_closed_sequence,
     phi_sequence,
     q_int,
@@ -154,47 +161,22 @@ def _recurrence_b(alpha: int, beta: int, gamma: int) -> RationalFunction:
     )
 
 
-def _head_a(cs: tuple[int, ...], k: int, beta: int, gamma: int):
-    """theta_A(0, beta, gamma-2) from theta_A(0, beta-1, gamma): the ratio
-    [gamma][gamma-1]/[2 beta]."""
-    return q_ratio(times_q_int(cs, gamma), gamma - 1, 2 * beta), k
-
-
-def _head_multinomial(cs: tuple[int, ...], k: int, beta: int, gamma: int):
-    """[n; 0, beta, gamma-1]' from [n; 0, beta-1, gamma]': [gamma]'/[beta]'."""
-    return q_ratio(cs, 2 * gamma, 2 * beta), k
-
-
-def _head_b(cs: tuple[int, ...], k: int, beta: int, gamma: int):
-    """The multinomial head step, then the numerator of phi_beta over that of
-    phi_(beta-1): [beta] for odd beta, or 1 + q^beta for even beta, whose
-    phi_beta also has one more factor 1/(1-q)."""
-    cs, k = _head_multinomial(cs, k, beta, gamma)
-    if beta % 2:
-        return times_q_int(cs, beta), k
-    return times_q_int(cs, 2, beta), k + 1
-
-
 class SystemSpec(NamedTuple):
-    """The expansion data of a built-in system: the degree of the middle
-    letter of its normal order, the base q^base of the row step
-    [gamma]/[alpha+1], the step from one row head to the next (None when
-    only row 0 is nonzero), the family that gives one coefficient by its
-    own closed form, and the family's recurrence from lower indices; the
-    degenerate limits have neither."""
+    """The expansion data of a built-in system: the record of its closed
+    form in :mod:`qexpand.qnumbers`, which the walk reads, the cached
+    family that gives one coefficient from that record, and the family's
+    recurrence from lower indices; the degenerate limits have neither."""
 
-    weight: int
-    base: int
-    head: Optional[Callable[..., tuple[tuple[int, ...], int]]]
+    closed_form: Family
     family: Optional[Callable[..., RationalFunction]] = None
     recurrence: Optional[Callable[..., RationalFunction]] = None
 
 
 SPECS = {
-    SYSTEM_A: SystemSpec(2, 1, _head_a, theta_a, _recurrence_a),
-    SYSTEM_B: SystemSpec(1, 2, _head_b, theta_b, _recurrence_b),
-    SYSTEM_A_C0: SystemSpec(2, 1, None),
-    SYSTEM_B_XI0: SystemSpec(1, 2, _head_multinomial),
+    SYSTEM_A: SystemSpec(THETA_A, theta_a, _recurrence_a),
+    SYSTEM_B: SystemSpec(THETA_B, theta_b, _recurrence_b),
+    SYSTEM_A_C0: SystemSpec(Q_BINOMIAL),
+    SYSTEM_B_XI0: SystemSpec(Q2_MULTINOMIAL),
 }
 
 
@@ -216,24 +198,38 @@ def base_sum(system: RelationSystem) -> NCPolynomial:
     """The sum of generators whose powers the system's expansion describes:
     the letters of degree one in the normal order."""
     first, middle, last = system.normal_order
-    middle = middle if _spec(system).weight == 1 else ""
+    middle = middle if _spec(system).closed_form.weight == 1 else ""
     return NCPolynomial({ch: RF_ONE for ch in first + middle + last})
 
 
 def _walk(system: RelationSystem, n: int) -> Iterator[tuple[str, RationalFunction]]:
     """Every term of the degree-n expansion, row by row in beta, alpha
     ascending.  Each coefficient is a numerator over (1-q)^k, one q-integer
-    step from the last (two or three at a row head), for alpha up to half
-    the row only: every family is symmetric in alpha and gamma, so the term
-    at alpha > gamma is the value already built at the mirrored index."""
-    spec = _spec(system)
+    step from the last, for alpha up to half the row only: every family is
+    symmetric in alpha and gamma, so the term at alpha > gamma is the value
+    already built at the mirrored index.  A row head comes from the last by
+    the w ratios of the multinomial [n; 0, w beta, gamma], then the
+    record's factor F(beta)/F(beta-1) = (1-q^a)/(1-q^b); a ratio whose
+    denominator is 1 - q^a takes 1 - q^b in its place, so the factor costs
+    no step of its own.  The rows end at the first zero head."""
+    form = _spec(system).closed_form
     first, middle, last = system.normal_order
-    weight, p = spec.weight, spec.base
+    w, p = form.weight, form.base
     head, k = (1,), 0
-    for beta in range(n // weight + 1 if spec.head else 1):
-        top = n - weight * beta
+    for beta in range(n // w + 1):
+        top = n - w * beta
         if beta:
-            head, k = spec.head(head, k, beta, top + weight)
+            a, b, d = form.factor(beta)
+            for j in range(w):
+                low = (w * beta - w + j + 1) * p
+                if low == a:
+                    low = a = b
+                head = q_ratio(head, (top + w - j) * p, low)
+            if a != b:
+                head = q_ratio(head, a, b)
+            k += d
+            if not head:
+                break
         cs, half = head, [over_one_minus_q(head, k)]
         for alpha in range(1, top // 2 + 1):
             cs = q_ratio(cs, (top - alpha + 1) * p, alpha * p)
@@ -326,12 +322,9 @@ def verify_recurrences(system: RelationSystem, bound: int) -> VerificationSummar
     spec = _spec(system)
     if spec.recurrence is None:
         raise ValueError(f"no recurrence for system {system.name!r}")
-    boundary = (spec.family(*i) != RF_ONE for i in _indices(spec.weight, 1))
-    recurrence = (
-        spec.family(*i) != spec.recurrence(*i)
-        for degree in range(1, bound + 1)
-        for i in _indices(spec.weight, degree)
-    )
+    degrees = [list(_indices(spec.closed_form.weight, d)) for d in range(1, bound + 1)]
+    boundary = (spec.family(*i) != RF_ONE for i in degrees[0])
+    recurrence = (spec.family(*i) != spec.recurrence(*i) for i in chain(*degrees))
     return _tally(f"recurrences-{system.name}", chain(boundary, recurrence))
 
 
@@ -339,8 +332,8 @@ def verify_phi(max_beta: int) -> VerificationSummary:
     """Check that the recursion and the closed form agree for every beta."""
     if max_beta < 2:
         raise ValueError("max_beta must be >= 2")
-    pairs = zip(phi_sequence(), phi_closed_sequence(), range(max_beta + 1))
-    return _tally("phi", (phi != closed for phi, closed, _ in pairs))
+    pairs = zip(range(max_beta + 1), phi_sequence(), phi_closed_sequence())
+    return _tally("phi", (phi != closed for _, phi, closed in pairs))
 
 
 def verify_degenerations(

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+from itertools import islice
 
 import pytest
 
@@ -14,8 +15,10 @@ from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZER
 from qexpand.freealgebra import NCPolynomial
 from qexpand.ordering import SYSTEM_A, SYSTEM_B, SYSTEMS, normalize
 from qexpand.qnumbers import (
-    _odd_product,
-    _psi_numerators,
+    THETA_A,
+    THETA_B,
+    _factor,
+    _factors,
     gaussian_binomial,
     phi_closed,
     phi_closed_sequence,
@@ -69,17 +72,19 @@ class TestQFactorial:
 
 
 class TestOddProduct:
+    """The F chain of theta_A: F(beta) = [1][3]...[2 beta - 1], over (1-q)^0."""
+
     def test_empty(self):
-        assert _odd_product(0) == ONE
+        assert _factor(THETA_A, 0) == (ONE.coeffs, 0)
 
     def test_single(self):
-        assert _odd_product(1) == ONE
+        assert _factor(THETA_A, 1) == (ONE.coeffs, 0)
 
     def test_two_factors(self):
-        assert _odd_product(2) == P((1, 1, 1))
+        assert _factor(THETA_A, 2) == ((1, 1, 1), 0)
 
     def test_three_factors(self):
-        assert _odd_product(3) == P((1, 2, 3, 3, 3, 2, 1))
+        assert _factor(THETA_A, 3) == ((1, 2, 3, 3, 3, 2, 1), 0)
 
 
 class TestQBinomial:
@@ -247,10 +252,12 @@ class TestPhi:
 class TestPsi:
     def test_chain_matches_products_of_q_integers(self):
         # psi(i) [2][4]...[2i] = [1][3]...[2i-1] [4][8]...[4i], all products
-        chain = list(zip(range(1, 11), _psi_numerators()))
+        # item 2i of the F chain of theta_B is phi_2i = psi(i) / (1-q)^i
+        chain = list(zip(range(1, 11), islice(_factors(THETA_B), 2, None, 2)))
         assert len(chain) == 10
         low, high = RF_ONE, RF_ONE
-        for i, cs in chain:
+        for i, (cs, k) in chain:
+            assert k == i
             low *= RationalFunction(q_int(2 * i))
             high *= RationalFunction(q_int(2 * i - 1))
             high *= RationalFunction(q_int(4 * i))

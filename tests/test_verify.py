@@ -16,7 +16,7 @@ from qexpand.exactarith import (
     q_ratio,
 )
 from qexpand.freealgebra import NCPolynomial
-from qexpand import qnumbers, verify
+from qexpand import exactarith, qnumbers, verify
 from qexpand.ordering import (
     SYSTEM_A,
     SYSTEM_A_C0,
@@ -26,10 +26,12 @@ from qexpand.ordering import (
     is_normal,
 )
 from qexpand.qnumbers import (
+    THETA_B,
     gaussian_binomial,
     phi_closed,
     q2_multinomial,
     q_int,
+    theta,
     theta_a,
     theta_b,
     xi,
@@ -133,7 +135,7 @@ class TestWalk:
         for n in range(1, max_n + 1):
             expected = NCPolynomial(
                 (first * a + middle * b + last * g, family(a, b, g))
-                for a, b, g in _indices(spec.weight, n)
+                for a, b, g in _indices(spec.closed_form.weight, n)
             )
             assert expand_formula(system, n) == expected
 
@@ -142,30 +144,42 @@ class TestWalk:
         # the walk builds half of each row and mirrors the rest
         spec, family = SPECS[system], FAMILIES[system]
         for n in range(1, 21):
-            for a, b, g in _indices(spec.weight, n):
+            for a, b, g in _indices(spec.closed_form.weight, n):
                 assert family(a, b, g) == family(g, b, a)
 
     def test_walk_steps_only_half_of_each_row(self, monkeypatch):
+        # every q-integer step, wherever q_ratio is looked up; times_q_int
+        # calls the one in exactarith
         calls = []
 
         def counted(cs, a, b):
             calls.append((a, b))
             return q_ratio(cs, a, b)
 
-        monkeypatch.setattr(verify, "q_ratio", counted)
+        for module in (exactarith, qnumbers, verify):
+            monkeypatch.setattr(module, "q_ratio", counted)
         expand_formula(SYSTEM_A, 24)
         # one step per alpha in 1..top//2 of each row top = 24 - 2 beta, and
-        # one at each of the 12 row heads; a step per term would be 168
-        assert len(calls) == sum(top // 2 for top in range(0, 25, 2)) + 12 == 90
+        # two at each of the 12 row heads, [gamma] and [gamma - 1]/[2 beta]:
+        # the factor [2 beta - 1] cancels the denominator of the first
+        # ratio; a step per term would be 168
+        assert len(calls) == sum(top // 2 for top in range(0, 25, 2)) + 2 * 12 == 102
+        calls.clear()
+        expand_formula(SYSTEM_B, 24)
+        # rows top = 24 - beta; at an odd head [gamma]'/[beta]' and then
+        # [beta], which is 1 at beta = 1; at an even head one step, as the
+        # factor (1 - q^(2 beta))/(1 - q^beta) cancels [beta]'
+        heads = 1 + 2 * 11 + 12
+        assert len(calls) == sum(top // 2 for top in range(25)) + heads == 179
 
     @pytest.mark.parametrize("system", list(SPECS), ids=lambda s: s.name)
     def test_expansion_has_a_nonzero_term_at_every_index(self, system):
         # expand_formula skips the merge and the zero test, which is sound
         # only while every walked index gives one distinct nonzero term
-        spec = SPECS[system]
+        weight, family = SPECS[system].closed_form.weight, FAMILIES[system]
         for n in range(1, 21):
             terms = expand_formula(system, n).items()
-            indices = [i for i in _indices(spec.weight, n) if spec.head or not i[1]]
+            indices = [i for i in _indices(weight, n) if not family(*i).is_zero()]
             assert len(terms) == len(indices)
             assert not any(c.is_zero() for _, c in terms)
 
@@ -326,7 +340,7 @@ class TestRecurrencesOnNumerators:
         spec = SPECS[system]
         cases = negative = 0
         for degree in range(max_degree + 1):
-            for alpha, beta, gamma in _indices(spec.weight, degree):
+            for alpha, beta, gamma in _indices(spec.closed_form.weight, degree):
                 # a zero index sends some term of the recurrence below zero
                 negative += min(alpha, beta, gamma) == 0
                 value = spec.recurrence(alpha, beta, gamma)
@@ -341,6 +355,18 @@ class TestVerifyPhi:
         summary = verify_phi(20)
         assert summary.cases == 21
         assert summary.failures == 0
+
+    def test_each_route_builds_one_item_per_case(self, monkeypatch):
+        built = {}
+        for name in ("phi_sequence", "phi_closed_sequence"):
+
+            def counted(name=name, original=getattr(verify, name)):
+                for built[name], value in enumerate(original(), 1):
+                    yield value
+
+            monkeypatch.setattr(verify, name, counted)
+        assert verify_phi(40).cases == 41
+        assert built == {"phi_sequence": 41, "phi_closed_sequence": 41}
 
     def test_beta_two_from_both_routes(self):
         assert phi_closed(2) == rf((1, 0, 1), (1, -1))
@@ -454,6 +480,40 @@ class TestSuitesCanFail:
         monkeypatch.setattr(verify, "q_int", q_int_wrong)
         summary = verify_identity_4i2(5)
         assert (summary.cases, summary.failures) == (5, 1)
+
+
+def _without_the_pole(beta):
+    """theta_B's factor phi_beta/phi_(beta-1) with d = 0: 1 + q^beta at an
+    even beta, not (1 + q^beta)/(1 - q)."""
+    return THETA_B.factor(beta)[:2] + (0,)
+
+
+WRONG_THETA_B = THETA_B._replace(factor=_without_the_pole)
+
+
+class TestWrongRecord:
+    """A record of theta_B with a wrong beta-factor fails both suites that
+    read the record: the lemma through the walk, the recurrences through
+    theta."""
+
+    def test_lemma_catches_a_wrong_beta_factor(self, monkeypatch):
+        # the walk on the wrong record
+        spec = SPECS[SYSTEM_B]
+        monkeypatch.setitem(SPECS, SYSTEM_B, spec._replace(closed_form=WRONG_THETA_B))
+        reports = verify_expansions(SYSTEM_B, 6)
+        assert [r.n for r in reports if not r.match] == [2, 3, 4, 5, 6]
+        assert [m.word for m in reports[1].mismatches] == ["bb"]
+
+    def test_recurrences_catch_a_wrong_beta_factor(self, monkeypatch):
+        # the wrong record's theta, as the family and inside the recurrence
+        def wrong_theta(alpha, beta, gamma):
+            return theta(WRONG_THETA_B, alpha, beta, gamma)
+
+        monkeypatch.setattr(verify, "theta_b", wrong_theta)
+        spec = SPECS[SYSTEM_B]
+        monkeypatch.setitem(SPECS, SYSTEM_B, spec._replace(family=wrong_theta))
+        summary = verify_recurrences(SYSTEM_B, 6)
+        assert (summary.cases, summary.failures) == (86, 35)
 
 
 class TestVerifyIdentity:
