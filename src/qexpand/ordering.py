@@ -75,17 +75,21 @@ monomial factor costs a shift, and is tagged when R is a q-integer
 systems: a product by [a] is O(log a) shifts and sums.  Every
 coefficient of num is at most ||num||_1 in size, so while b < 2^(W-1)
 the balanced base-2^W digits of N are exactly the coefficients of num
-(see :func:`kronecker_unpack`), and N = 0 exactly when num = 0.  Every
-decode and every zero test is made only under that check: each value of
-a step, and of the sum that ends a core's reduction, is tested for zero
-only after its bound is checked, which covers every partial sum because
-bounds only grow as terms are added.  When a bound reaches 2^(W-1), the
-engine raises an internal overflow, re-spaces the step's input and the
-core table to a wider W (each value's digits copied by
-:func:`kronecker_respace`, with no decode) and redoes the step.  Cores
-finished before the overflow stay in the table, so only the reductions
-then in progress are redone.  The bounds do not depend on W, so the
-redone work checks against the same bounds.
+(see :func:`kronecker_unpack`), and N = 0 exactly when num = 0.  So
+(N, k) fixes the value, and a step is decoded once per distinct pair, its
+words sharing one value object: in the built-in systems a word and its
+mirror (the word reversed, with the first and last letters of the normal
+order swapped) have equal values, so about half of a step's values
+repeat.  Every decode and every zero test is made only under that
+check: each value of a step, and of the sum that ends a core's
+reduction, is tested for zero only after its bound is checked, which
+covers every partial sum because bounds only grow as terms are added.
+When a bound reaches 2^(W-1), the engine raises an internal overflow,
+re-spaces the step's input and the core table to a wider W (each value's
+digits copied by :func:`kronecker_respace`, with no decode) and redoes
+the step.  Cores finished before the overflow stay in the table, so only
+the reductions then in progress are redone.  The bounds do not depend on
+W, so the redone work checks against the same bounds.
 
 This module is the only one that packs (Kronecker substitution: von zur
 Gathen and Gerhard, *Modern Computer Algebra*, section 8.4), with one
@@ -404,13 +408,19 @@ class _Cores:
 
 def _decode(terms: dict, bits: int) -> NCPolynomial:
     """The polynomial of packed values word -> (N, k, b) at a width of
-    ``bits``, each with b < 2^(bits-1) and N != 0."""
-    return NCPolynomial._from_reduced(
-        {
-            w: over_one_minus_q(kronecker_unpack(n, bits), k)
-            for w, (n, k, _) in terms.items()
-        }
-    )
+    ``bits``, each with b < 2^(bits-1) and N != 0.
+
+    Under the bound, N fixes the numerator and (N, k) the value, whatever
+    b is, so each distinct pair is decoded once and its words share one
+    value object."""
+    values: dict = {}
+    out: dict = {}
+    for w, (n, k, _) in terms.items():
+        value = values.get((n, k))
+        if value is None:
+            value = values[n, k] = over_one_minus_q(kronecker_unpack(n, bits), k)
+        out[w] = value
+    return NCPolynomial._from_reduced(out)
 
 
 def _normalize_step(

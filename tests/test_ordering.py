@@ -2,7 +2,7 @@
 
 import copy
 import random
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given
@@ -32,7 +32,7 @@ from qexpand.ordering import (
     normalize,
 )
 from qexpand.qnumbers import q_int, xi
-from qexpand.verify import base_sum, expand_formula
+from qexpand.verify import base_sum, expand_formula, expand_oracle
 
 P = IntPolynomial
 
@@ -673,6 +673,82 @@ class TestPowerPass:
             reduced.clear()
             normal_power(base_sum(system), _letters(system), n - 1, system)
             assert len(reduced) == count
+
+    def test_mirrored_words_share_one_decoded_value(self, monkeypatch):
+        # b^x c^y a^z and b^z c^y a^x have one packed value, decoded once
+        unpacked = []
+        unpack = ordering.kronecker_unpack
+
+        def recording(value, bits):
+            unpacked.append(value)
+            return unpack(value, bits)
+
+        monkeypatch.setattr(ordering, "kronecker_unpack", recording)
+        result = expand_oracle(SYSTEM_A, 24)
+        for word, coeff in result.items():
+            assert result.coefficient(_mirror(word, "ab")) is coeff
+        assert (len(result), len(unpacked)) == (169, 90)
+
+    def test_equal_numerators_over_different_powers_stay_apart(self):
+        # a and b/(1-q) both pack to N = 1: only k tells their values apart
+        p = NCPolynomial({"a": RF_ONE, "b": over_one_minus_q((1,), 1)})
+        assert normalize(p, SYSTEM_A) == p
+
+
+def _mirror(word, swap):
+    """The word reversed, with the two letters of ``swap`` exchanged."""
+    return word.translate(str.maketrans(swap, swap[::-1]))[::-1]
+
+
+def _anti_automorphisms(system):
+    """Each letter permutation, as the image of "abc", under which w ->
+    reverse(sigma(w)) maps every rule to a rule and every normal word to a
+    normal word."""
+    found = []
+    for image in map("".join, permutations("abc")):
+        table = str.maketrans("abc", image)
+
+        def tau(word):
+            return word.translate(table)[::-1]
+
+        rules = all(
+            system.rules.get(tau(pattern))
+            == NCPolynomial((tau(w), c) for w, c in replacement.items())
+            for pattern, replacement in system.rules.items()
+        )
+        # normality is a condition on neighbouring pairs
+        pairs = map("".join, product("abc", repeat=2))
+        normal = all(is_normal(tau(w), system) for w in pairs if is_normal(w, system))
+        if rules and normal:
+            found.append(image)
+    return found
+
+
+class TestMirror:
+    @pytest.mark.parametrize(
+        "system, swap, n",
+        [
+            (SYSTEM_A, "ab", 40),
+            (SYSTEM_B, "ac", 24),
+            (SYSTEM_A_C0, "ab", 30),
+            (SYSTEM_B_XI0, "ac", 20),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_the_mirror_is_a_theorem_of_the_rules(self, system, swap, n):
+        # tau is an anti-automorphism of the algebra that fixes s and maps
+        # normal words to normal words; normal forms are unique, so the
+        # normal form of s^n is tau-symmetric, with no formula involved
+        image = "abc".translate(str.maketrans(swap, swap[::-1]))
+        assert _anti_automorphisms(system) == [image]
+        s = base_sum(system)
+        for step in islice(normal_powers(s, _letters(system), system), n):
+            for word, coeff in step.items():
+                assert step.coefficient(_mirror(word, swap)) == coeff
+
+    def test_a_rule_without_its_mirror_image_leaves_no_mirror(self):
+        # a <-> b would send ac -> ca + 2b to cb -> bc + 2a, which is not a rule
+        assert _anti_automorphisms(_lowering_system()) == []
 
 
 def _packed_q_int(a, bits):
