@@ -14,26 +14,40 @@ argument to be a tuple of ints with no trailing zero, so the check runs
 only on outside input.
 
 Products use one algorithm, a schoolbook loop over the nonzero
-coefficients of both operands.  The oracle keeps its coefficients packed
+coefficients of both operands; the ``identity`` suite's (1+q)[2i+1]_(q^2)
+is the one route that calls it.  The oracle keeps its coefficients packed
 and multiplies them as integers (Kronecker substitution, in
-:mod:`qexpand.ordering`), so the tests' references for the engine and
-for the recurrences, which multiply here, share no code with it.
+:mod:`qexpand.ordering`).  The tests build their expected values in
+``tests/reference.py``, which imports nothing from this package, so no
+reference shares code with either route.
 
 The only denominator the relations bring in is that of ``xi`` =
 (q+q^2)/(1-q), defined here for both routes, so every rule, every
 phi_beta and every coefficient of both expansions lies in Z[q, 1/(1-q)];
 phi_2i = psi(i)/(1-q)^i, for example.  Every route builds its values as
 num/(1-q)^k, and that is the one stored form: ``.num`` and ``.den`` with
-den = (1-q)^k.  The public ``RationalFunction`` constructor accepts a
-denominator only of the form +-(q-1)^k and raises ValueError for any
+den = (1-q)^k.  The public ``RationalFunction`` constructor raises
+TypeError unless both parts are ``IntPolynomial`` values, and accepts a
+denominator only of the form +-(q-1)^k, raising ValueError for any
 other; the package builds its own values with ``over_one_minus_q(cs, k)``,
-which skips that check.  Both divide the root q = 1 out of the numerator,
-at most k times, by running sums; since 1 - q is prime in Z[q], the
-result is canonical with no gcd, exact division or content step.  Sums
-lift the lower power of 1 - q, and products add the exponents.  The JSON
-form is num/(q-1)^k, so ``to_json`` negates both parts for odd k.
-``poly_gcd`` and ``IntPolynomial.exact_div`` remain as plain Z[q]
-utilities; no route calls them.
+which skips these checks.  Both divide the root q = 1 out of the
+numerator, at most k times, by running sums; since 1 - q is prime in
+Z[q], the result is canonical with no gcd, exact division or content
+step.  The JSON form is num/(q-1)^k, so ``to_json`` negates both parts
+for odd k.
+
+No route adds values, or multiplies ``RationalFunction`` values.  These
+operators stay only for the benchmark harness under ``bench/``:
+
+- ``IntPolynomial.exact_div`` and ``poly_gcd``, with the helpers of the
+  gcd (``_pseudo_rem``, ``_primitive_positive``, ``content``,
+  ``leading_coefficient`` and ``_scale_div``): ``bench/tracer.py`` wraps
+  both by name;
+- ``IntPolynomial.__add__``: ``bench/selftest.py`` adds values;
+- ``RationalFunction.__add__`` (lifting the lower power of 1 - q) and
+  ``__mul__`` (adding the exponents): they are the coefficient arithmetic
+  of ``NCPolynomial.__mul__``, which ``bench/tracer.py`` wraps, and of the
+  ``NCPolynomial`` constructor's merge of a repeated word.
 
 All values are immutable and every operation is a pure function, so values
 may be shared freely across threads and tasks.  Both value types are
@@ -93,13 +107,6 @@ class IntPolynomial:
     def __reduce__(self):
         return type(self), (self.coeffs,)
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> IntPolynomial:
-        """The polynomial ``coeff * q**degree``."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -133,16 +140,7 @@ class IntPolynomial:
     def __neg__(self) -> IntPolynomial:
         return IntPolynomial._raw(tuple([-c for c in self.coeffs]))
 
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + -other
-
-    def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        if isinstance(other, int):
-            if not other:
-                return ZERO
-            return IntPolynomial._raw(tuple([c * other for c in self.coeffs]))
+    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -156,23 +154,6 @@ class IntPolynomial:
             a, b = b, a
         # the leading coefficient of a product of nonzero polynomials is nonzero
         return IntPolynomial._raw(_mul_coeffs(a, b))
-
-    def __rmul__(self, other: int) -> IntPolynomial:
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> IntPolynomial:
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        result, base, e = ONE, self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __call__(self, point):
         """Evaluate at ``point`` by Horner's scheme; exact for int points."""
@@ -303,7 +284,6 @@ def times_q_int(cs: tuple[int, ...], m: int, s: int = 1) -> tuple[int, ...]:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
 
 @lru_cache(maxsize=None)
 def _one_minus_q_power(k: int) -> IntPolynomial:
@@ -409,6 +389,8 @@ class RationalFunction:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, num: IntPolynomial = ZERO, den: IntPolynomial = ONE) -> None:
+        if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
+            raise TypeError("num and den must be IntPolynomial values")
         if den.coeffs != (1,):
             k = _q_minus_one_exponent(den.coeffs)
             if k < 0:
@@ -454,17 +436,6 @@ class RationalFunction:
         elif kb < ka:
             b = b * _one_minus_q_power(ka - kb)
         return over_one_minus_q((a + b).coeffs, max(ka, kb))
-
-    def __sub__(self, other: RationalFunction) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> RationalFunction:
-        value = _new(RationalFunction)
-        _set_num(value, -self.num)
-        _set_den(value, self.den)
-        return value
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):

@@ -2,10 +2,14 @@
 
 Words are plain strings over the alphabet ``abc``; the empty string is the
 multiplicative identity.  An :class:`NCPolynomial` maps words to nonzero
-rational-function coefficients; multiplication concatenates words and is
-deliberately noncommutative.  Serialization and printing use a fixed term
-order (word length first, then lexicographic with a < b < c) so output is
-deterministic.
+rational-function coefficients.  Its constructor is the one way to build
+a sum: it adds the coefficients of a repeated word, drops a word whose
+coefficients cancel, and raises TypeError for a coefficient that is not a
+``RationalFunction``.  The one operator is the product, which
+concatenates words and is deliberately noncommutative; no route calls it,
+and it stays because ``bench/tracer.py`` wraps it by name.  Serialization
+and printing use a fixed term order (word length first, then
+lexicographic with a < b < c) so output is deterministic.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ class NCPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[str, RationalFunction] = {}
         for word, coeff in items:
+            if not isinstance(coeff, RationalFunction):
+                raise TypeError(f"coefficient of {word!r} is not a RationalFunction")
             _accumulate(clean, parse_word(word), coeff)
         self._terms = clean
 
@@ -85,10 +91,6 @@ class NCPolynomial:
     @classmethod
     def zero(cls) -> NCPolynomial:
         return cls._from_reduced({})
-
-    @classmethod
-    def one(cls) -> NCPolynomial:
-        return cls._from_reduced({"": RF_ONE})
 
     @classmethod
     def from_word(cls, word: str, coeff: RationalFunction = RF_ONE) -> NCPolynomial:
@@ -125,32 +127,7 @@ class NCPolynomial:
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: NCPolynomial) -> NCPolynomial:
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            _accumulate(out, word, coeff)
-        return NCPolynomial._from_reduced(out)
-
-    def __sub__(self, other: NCPolynomial) -> NCPolynomial:
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> NCPolynomial:
-        return NCPolynomial._from_reduced({w: -c for w, c in self._terms.items()})
-
-    def scale(self, factor: RationalFunction) -> NCPolynomial:
-        if factor.is_zero():
-            return NCPolynomial.zero()
-        return NCPolynomial._from_reduced(
-            {w: c * factor for w, c in self._terms.items()}
-        )
-
-    def __mul__(self, other: NCPolynomial | RationalFunction) -> NCPolynomial:
-        if isinstance(other, RationalFunction):
-            return self.scale(other)
+    def __mul__(self, other: NCPolynomial) -> NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         out: dict[str, RationalFunction] = {}
@@ -158,11 +135,6 @@ class NCPolynomial:
             for w2, c2 in other._terms.items():
                 _accumulate(out, w1 + w2, c1 * c2)
         return NCPolynomial._from_reduced(out)
-
-    def __rmul__(self, other: RationalFunction) -> NCPolynomial:
-        if isinstance(other, RationalFunction):
-            return self.scale(other)
-        return NotImplemented
 
     def json_terms(self) -> Iterator[dict]:
         """The items of to_json(), one at a time."""

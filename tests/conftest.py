@@ -1,58 +1,48 @@
-"""Shared fixtures."""
-
-import heapq
+"""Shared fixtures, and the boundary between the package's values and the
+plain values of :mod:`reference`, crossed by the public constructors."""
 
 import pytest
 
+import reference as ref
 from qexpand import verify
-from qexpand.exactarith import RF_ONE, RF_ZERO
+from qexpand.exactarith import IntPolynomial, RationalFunction
 from qexpand.freealgebra import NCPolynomial
 
 
-def _reduce_randomly(p, system, rng):
-    """A normal form of p reached by rewriting a random out-of-order pair
-    of each pending word.
+def to_rf(value):
+    """The RationalFunction of a reference pair (num, k)."""
+    num, k = value
+    den = ref.power(ref.ONE_MINUS_Q, k)
+    return RationalFunction(IntPolynomial(num), IntPolynomial(den))
 
-    The deglex-largest pending word is rewritten first.  Every rule shrinks
-    in deglex, so no later rewrite adds to that word, and each word is
-    rewritten once.  It reads only ``system.rules`` and ``system.rank``, and
-    multiplies its coefficients as ``RationalFunction`` values, by the
-    schoolbook product at every coefficient size; the engine packs its
-    coefficients by a codec of its own.  So it shares no code with the
-    rewrite engine whose normal forms it is compared with.
-    """
-    rank = system.rank
-    pending = {}
-    heap = []
 
-    def add(word, coeff):
-        if word not in pending:
-            heapq.heappush(heap, ((-len(word), [-rank[x] for x in word]), word))
-        pending[word] = pending.get(word, RF_ZERO) + coeff
+def to_nc(terms):
+    """The NCPolynomial of a reference dict from word to value."""
+    return NCPolynomial({word: to_rf(c) for word, c in terms.items()})
 
-    for word, coeff in p.items():
-        add(word, coeff)
-    normal = {}
-    while heap:
-        word = heapq.heappop(heap)[1]
-        coeff = pending.pop(word)
-        positions = [
-            i for i in range(len(word) - 1) if rank[word[i]] > rank[word[i + 1]]
-        ]
-        if not positions:
-            normal[word] = coeff
-            continue
-        i = rng.choice(positions)
-        prefix, suffix = word[:i], word[i + 2 :]
-        for w, c in system.rules[word[i : i + 2]].items():
-            add(prefix + w + suffix, coeff * c)
-    return NCPolynomial(normal)
+
+def of_rf(value):
+    """The reference pair of a RationalFunction, read from its fields."""
+    k = value.den.degree
+    assert value.den.coeffs == ref.power(ref.ONE_MINUS_Q, k)
+    return value.num.coeffs, k
+
+
+def of_nc(p):
+    """The reference dict of an NCPolynomial."""
+    return {word: of_rf(c) for word, c in p.items()}
 
 
 @pytest.fixture
 def reduce_randomly():
-    """``reduce_randomly(p, system, rng)``: see :func:`_reduce_randomly`."""
-    return _reduce_randomly
+    """``reduce_randomly(p, system, rng)``: :func:`reference.reduce_randomly`
+    on the NCPolynomial p and the rules of ``system``, as an NCPolynomial."""
+
+    def reduce(p, system, rng):
+        rules = {pattern: of_nc(r) for pattern, r in system.rules.items()}
+        return to_nc(ref.reduce_randomly(of_nc(p), rules, system.rank, rng))
+
+    return reduce
 
 
 @pytest.fixture
@@ -66,8 +56,13 @@ def wrong_formula_term(monkeypatch):
     def plant(system, word):
         def wrong_walk(s, n):
             for w, c in walk(s, n):
-                yield w, c + RF_ONE if (s, w) == (system, word) else c
+                yield w, plus_one(c) if (s, w) == (system, word) else c
 
         monkeypatch.setattr(verify, "_walk", wrong_walk)
 
     return plant
+
+
+def plus_one(value):
+    """value + 1, by the reference ring."""
+    return to_rf(ref.frac_add(of_rf(value), ref.ONE))

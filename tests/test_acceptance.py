@@ -7,10 +7,13 @@ import cmath
 import random
 import time
 
+import reference as ref
+from conftest import to_nc
+
 from qexpand.exactarith import IntPolynomial, RationalFunction
 from qexpand.freealgebra import NCPolynomial
 from qexpand.ordering import SYSTEM_A, SYSTEM_B, normalize
-from qexpand.qnumbers import phi_closed, phi_recursive, q_int, xi
+from qexpand.qnumbers import phi_closed, phi_recursive, q_int
 from qexpand.verify import (
     expand_formula,
     expand_oracle,
@@ -28,9 +31,6 @@ def _criterion(name: str, ok: bool) -> None:
     print(("PASS" if ok else "FAIL") + f": {name}")
     assert ok, name
 
-
-def _qpow(k: int) -> RationalFunction:
-    return RationalFunction(P.monomial(k))
 
 
 def test_lemma1_equivalence():
@@ -81,62 +81,23 @@ def test_auxiliary_identities():
     ok = True
     for n in range(1, 11):
         result = normalize(NCPolynomial.from_word("a" * n + "b"), SYSTEM_A)
-        expected = NCPolynomial(
-            {
-                "b" + "a" * n: _qpow(n),
-                "c" + "a" * (n - 1): RationalFunction(P.monomial(n - 1) * q_int(n)),
-            }
-        )
-        ok = ok and result == expected
+        ok = ok and result == to_nc(ref.a_word_times_b(0, 0, n))
 
         result = normalize(NCPolynomial.from_word("a" * n + "c"), SYSTEM_B)
-        expected = NCPolynomial(
-            {
-                "c" + "a" * n: _qpow(2 * n),
-                "bb" + "a" * (n - 1): xi()
-                * RationalFunction(P.monomial(2 * (n - 1)) * q_int(n, 2)),
-            }
-        )
-        ok = ok and result == expected
+        ok = ok and result == to_nc(ref.b_word_times("c", 0, 0, n))
 
     for alpha in range(4):
         for beta in range(4):
             for gamma in range(4):
                 word = "b" * alpha + "c" * beta + "a" * gamma + "b"
-                terms = {
-                    "b" * (alpha + 1) + "c" * beta + "a" * gamma: _qpow(
-                        gamma + 2 * beta
-                    )
-                }
-                if gamma >= 1:
-                    terms["b" * alpha + "c" * (beta + 1) + "a" * (gamma - 1)] = (
-                        RationalFunction(P.monomial(gamma - 1) * q_int(gamma))
-                    )
-                ok = ok and normalize(
-                    NCPolynomial.from_word(word), SYSTEM_A
-                ) == NCPolynomial(terms)
+                result = normalize(NCPolynomial.from_word(word), SYSTEM_A)
+                ok = ok and result == to_nc(ref.a_word_times_b(alpha, beta, gamma))
 
                 prefix = "c" * alpha + "b" * beta + "a" * gamma
-                expected_b = NCPolynomial(
-                    {"c" * alpha + "b" * (beta + 1) + "a" * gamma: _qpow(2 * gamma)}
-                )
-                ok = ok and normalize(
-                    NCPolynomial.from_word(prefix + "b"), SYSTEM_B
-                ) == expected_b
-
-                terms = {
-                    "c" * (alpha + 1) + "b" * beta + "a" * gamma: _qpow(
-                        2 * gamma + 2 * beta
-                    )
-                }
-                if gamma >= 1:
-                    terms["c" * alpha + "b" * (beta + 2) + "a" * (gamma - 1)] = (
-                        xi()
-                        * RationalFunction(P.monomial(2 * (gamma - 1)) * q_int(gamma, 2))
-                    )
-                ok = ok and normalize(
-                    NCPolynomial.from_word(prefix + "c"), SYSTEM_B
-                ) == NCPolynomial(terms)
+                for x in "bc":
+                    result = normalize(NCPolynomial.from_word(prefix + x), SYSTEM_B)
+                    expected = ref.b_word_times(x, alpha, beta, gamma)
+                    ok = ok and result == to_nc(expected)
 
     _criterion(
         "auxiliary power identities n=1..10 and mixed-word relations for "

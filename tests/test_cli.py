@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+import reference as ref
+from conftest import to_nc
+
 import qexpand
 from qexpand import cli
 from qexpand.freealgebra import NCPolynomial
@@ -121,15 +124,7 @@ class TestExpandAndNormalize:
         # run on an explicit stack, within the default recursion limit
         k = 2000
         argv = ["normalize", "--system", "A", "--word", "a" * k + "b"]
-        P = qexpand.IntPolynomial
-        expected = NCPolynomial(
-            {
-                "b" + "a" * k: qexpand.RationalFunction(P.monomial(k)),
-                "c" + "a" * (k - 1): qexpand.RationalFunction(
-                    P.monomial(k - 1) * qexpand.q_int(k)
-                ),
-            }
-        )
+        expected = to_nc(ref.a_word_times_b(0, 0, k))
         assert run_cli(argv, capsys) == (0, f"{expected}\n", "")
 
     def test_normalize_outputs_are_pinned(self, capsys):

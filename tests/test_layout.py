@@ -3,7 +3,8 @@
 The two routes are compared to check each other, so they may share no
 code past the arithmetic layer: ``qnumbers`` is the formula route,
 ``ordering`` the whole oracle route, and ``verify`` compares what they
-return without reaching into the rewrite engine.
+return without reaching into the rewrite engine.  The tests' own
+arithmetic, ``tests/reference.py``, shares no code with the package.
 """
 
 import ast
@@ -12,8 +13,24 @@ import subprocess
 import sys
 
 import qexpand
+from qexpand import exactarith, freealgebra
 
 PACKAGE = os.path.dirname(qexpand.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+# operators no route reached; the tests build their values in reference.py
+DELETED = {
+    exactarith.IntPolynomial: {"monomial", "__sub__", "__pow__", "__rmul__"},
+    exactarith.RationalFunction: {"__sub__", "__neg__"},
+    freealgebra.NCPolynomial: {
+        "one",
+        "__add__",
+        "__sub__",
+        "__neg__",
+        "scale",
+        "__rmul__",
+    },
+}
 
 
 def _relative_imports(module):
@@ -64,8 +81,8 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
 
 
 def test_only_the_oracle_route_packs():
-    # the tests' references multiply with exactarith, so a codec there
-    # would be shared by the engine and by what checks it
+    # a codec shared with the formula route or the arithmetic layer would
+    # let one fault hide in both routes
     packers = set()
     for filename in sorted(os.listdir(PACKAGE)):
         if not filename.endswith(".py"):
@@ -84,3 +101,26 @@ def test_only_the_oracle_route_packs():
             if any(name.startswith("kronecker_") for name in names):
                 packers.add(filename[: -len(".py")])
     assert packers == {"ordering"}
+
+
+def test_the_reference_imports_only_the_standard_library():
+    # so no package code reaches the tests' expected values; the workflow
+    # also runs the file in a fresh interpreter, which sees every path
+    with open(os.path.join(TESTS, "reference.py")) as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
+
+
+def test_no_deleted_operator_returns():
+    # the scalar branches of the kept products are gone too; the value
+    # tests check that both raise TypeError
+    for cls, names in DELETED.items():
+        assert not names & set(vars(cls)), cls.__name__
+    assert not hasattr(exactarith, "Q")

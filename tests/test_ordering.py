@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
+from conftest import of_nc, to_nc, to_rf
+
 from qexpand.exactarith import (
     IntPolynomial,
     RF_ONE,
-    RF_ZERO,
     RationalFunction,
     over_one_minus_q,
 )
@@ -31,14 +33,15 @@ from qexpand.ordering import (
     normal_powers,
     normalize,
 )
-from qexpand.qnumbers import q_int, xi
+from qexpand.qnumbers import xi
 from qexpand.verify import base_sum, expand_formula, expand_oracle
 
 P = IntPolynomial
 
 
 def qpow(k):
-    return RationalFunction(P.monomial(k))
+    return to_rf(ref.q_power(k))
+
 
 
 def word_poly(word, coeff=RF_ONE):
@@ -177,20 +180,11 @@ class TestRewriteStep:
 class TestNormalizeExamples:
     def test_aab_system_a(self):
         result = normalize(word_poly("aab"), SYSTEM_A)
-        expected = NCPolynomial(
-            {"baa": qpow(2), "ca": RationalFunction(P.monomial(1) * q_int(2))}
-        )
-        assert result == expected
+        assert result == to_nc(ref.a_word_times_b(0, 0, 2))
 
     def test_aac_system_b(self):
         result = normalize(word_poly("aac"), SYSTEM_B)
-        expected = NCPolynomial(
-            {
-                "caa": qpow(4),
-                "bba": xi() * RationalFunction(P.monomial(2) * q_int(2, 2)),
-            }
-        )
-        assert result == expected
+        assert result == to_nc(ref.b_word_times("c", 0, 0, 2))
 
     def test_mixed_word_system_a(self):
         result = normalize(word_poly("bcab"), SYSTEM_A)
@@ -202,33 +196,8 @@ def _chain(system, k):
     """The normal form of a^k b: q^k b a^k + q^(k-1)[k] c a^(k-1) in
     System A and q^(2k) b a^k in System B."""
     if system is SYSTEM_B:
-        return word_poly("b" + "a" * k, qpow(2 * k))
-    return NCPolynomial(
-        {
-            "b" + "a" * k: qpow(k),
-            "c" + "a" * (k - 1): RationalFunction(P.monomial(k - 1) * q_int(k)),
-        }
-    )
-
-
-def _a_power_b_power(m, n):
-    """The normal form of a^m b^n in System A, from a recurrence on m.
-
-    a b^t = q^t b^t a + q^(t-1)[t] b^(t-1) c and a c^j = q^(2j) c^j a, so
-    if a^m b^n is the sum of C(m, j) b^(n-j) c^j a^(m-j) over j, then
-    C(m+1, j) = q^(n+j) C(m, j) + q^(n-j)[n-j+1] C(m, j-1)."""
-    column = [RF_ONE]
-    for _ in range(m):
-        previous, column = column, []
-        for j in range(min(len(previous), n) + 1):
-            c = qpow(n + j) * previous[j] if j < len(previous) else RF_ZERO
-            if j:
-                step = RationalFunction(P.monomial(n - j) * q_int(n - j + 1))
-                c = c + step * previous[j - 1]
-            column.append(c)
-    return NCPolynomial(
-        {"b" * (n - j) + "c" * j + "a" * (m - j): c for j, c in enumerate(column)}
-    )
+        return to_nc(ref.b_word_times("b", 0, 0, k))
+    return to_nc(ref.a_word_times_b(0, 0, k))
 
 
 class TestAuxiliaryFamilies:
@@ -252,67 +221,33 @@ class TestAuxiliaryFamilies:
         for m in range(7):
             for n in range(7):
                 p = word_poly("a" * m + "b" * n)
-                assert reduce_randomly(p, SYSTEM_A, rng) == _a_power_b_power(m, n)
+                expected = to_nc(ref.a_power_b_power(m, n))
+                assert reduce_randomly(p, SYSTEM_A, rng) == expected
         for m, n in ((12, 7), (7, 12), (16, 16)):
             p = word_poly("a" * m + "b" * n)
-            assert normalize(p, SYSTEM_A) == _a_power_b_power(m, n)
+            assert normalize(p, SYSTEM_A) == to_nc(ref.a_power_b_power(m, n))
 
     def test_a_power_times_c(self):
         for n in range(1, 11):
             result = normalize(word_poly("a" * n + "c"), SYSTEM_B)
-            expected = NCPolynomial(
-                {
-                    "c" + "a" * n: qpow(2 * n),
-                    "bb" + "a" * (n - 1): xi()
-                    * RationalFunction(P.monomial(2 * (n - 1)) * q_int(n, 2)),
-                }
-            )
-            assert result == expected
+            assert result == to_nc(ref.b_word_times("c", 0, 0, n))
 
     def test_mixed_relation_system_a(self):
         for alpha in range(4):
             for beta in range(4):
                 for gamma in range(4):
                     word = "b" * alpha + "c" * beta + "a" * gamma + "b"
-                    terms = {
-                        "b" * (alpha + 1) + "c" * beta + "a" * gamma: qpow(
-                            gamma + 2 * beta
-                        )
-                    }
-                    if gamma >= 1:
-                        terms["b" * alpha + "c" * (beta + 1) + "a" * (gamma - 1)] = (
-                            RationalFunction(P.monomial(gamma - 1) * q_int(gamma))
-                        )
-                    assert normalize(word_poly(word), SYSTEM_A) == NCPolynomial(terms)
+                    expected = to_nc(ref.a_word_times_b(alpha, beta, gamma))
+                    assert normalize(word_poly(word), SYSTEM_A) == expected
 
     def test_mixed_relations_system_b(self):
         for alpha in range(4):
             for beta in range(4):
                 for gamma in range(4):
                     prefix = "c" * alpha + "b" * beta + "a" * gamma
-                    expected_b = NCPolynomial(
-                        {
-                            "c" * alpha + "b" * (beta + 1) + "a" * gamma: qpow(
-                                2 * gamma
-                            )
-                        }
-                    )
-                    assert normalize(word_poly(prefix + "b"), SYSTEM_B) == expected_b
-
-                    terms = {
-                        "c" * (alpha + 1) + "b" * beta + "a" * gamma: qpow(
-                            2 * gamma + 2 * beta
-                        )
-                    }
-                    if gamma >= 1:
-                        terms[
-                            "c" * alpha + "b" * (beta + 2) + "a" * (gamma - 1)
-                        ] = xi() * RationalFunction(
-                            P.monomial(2 * (gamma - 1)) * q_int(gamma, 2)
-                        )
-                    assert normalize(word_poly(prefix + "c"), SYSTEM_B) == NCPolynomial(
-                        terms
-                    )
+                    for x in "bc":
+                        expected = to_nc(ref.b_word_times(x, alpha, beta, gamma))
+                        assert normalize(word_poly(prefix + x), SYSTEM_B) == expected
 
 
 packed_terms = st.lists(
@@ -328,20 +263,22 @@ class TestPackedSums:
         # each term num/(1-q)^k is added with its bound ||num||_1; the sum
         # must decode to the exact sum, and its bound must cover its numerator
         bits = 64
-        total, expected = {}, RationalFunction()
+        total, expected = {}, ref.ZERO
         for cs, k in terms:
             while cs and not cs[-1]:
                 cs.pop()
             n = kronecker_pack(cs, bits)
             ordering._add(total, "w", n, k, sum(map(abs, cs)), bits)
-            expected = expected + over_one_minus_q(tuple(cs), k)
+            expected = ref.frac_add(expected, ref.frac(cs, k))
         n, k, b = total["w"]
         num = kronecker_unpack(n, bits)
         assert sum(map(abs, num)) <= b
-        if num:
-            assert over_one_minus_q(num, k) == expected
-        else:
-            assert expected.is_zero()
+        assert ref.frac(num, k) == expected
+
+
+def _around(prefix, p, suffix):
+    """prefix p suffix, for words prefix and suffix."""
+    return NCPolynomial({prefix + w + suffix: c for w, c in p.items()})
 
 
 def _random_words(count, max_len, seed):
@@ -394,11 +331,10 @@ class TestNormalizeProperties:
         k = RationalFunction(P((1, 1)))
         for w1, w2 in zip(words[::2], words[1::2]):
             for system in (SYSTEM_A, SYSTEM_B):
-                x = word_poly(w1)
-                y = word_poly(w2, k)
-                assert normalize(x + y, system) == normalize(x, system) + normalize(
-                    y, system
-                )
+                x = of_nc(normalize(word_poly(w1), system))
+                y = of_nc(normalize(word_poly(w2, k), system))
+                both = NCPolynomial([(w1, RF_ONE), (w2, k)])
+                assert normalize(both, system) == to_nc(ref.nc_add(x, y))
 
     def test_every_output_word_is_normal(self):
         for word in _random_words(60, 6, seed=13):
@@ -414,9 +350,9 @@ class TestNormalizeProperties:
         coefficients.append(over_one_minus_q((-1,), 2))
         words = _random_words(360, 12, seed=14)
         for count in (1, 2, 3) * 40:
-            p = NCPolynomial({})
-            for _ in range(count):
-                p = p + word_poly(words.pop(), rng.choice(coefficients))
+            p = NCPolynomial(
+                (words.pop(), rng.choice(coefficients)) for _ in range(count)
+            )
             for system in SYSTEMS.values():
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
@@ -442,10 +378,10 @@ class TestNormalizeProperties:
         for core in _random_words(40, 6, seed=16):
             for system in SYSTEMS.values():
                 first, last = system.normal_order[0], system.normal_order[-1]
-                prefix = word_poly(first * rng.randint(0, 3))
-                suffix = word_poly(last * rng.randint(0, 3))
-                whole = prefix * word_poly(core) * suffix
-                expected = prefix * normalize(word_poly(core), system) * suffix
+                prefix = first * rng.randint(0, 3)
+                suffix = last * rng.randint(0, 3)
+                whole = word_poly(prefix + core + suffix)
+                expected = _around(prefix, normalize(word_poly(core), system), suffix)
                 assert normalize(whole, system) == expected
                 assert reduce_randomly(whole, system, rng) == expected
         # a prefix that is inert only for the appended letter x: the rules
@@ -454,12 +390,13 @@ class TestNormalizeProperties:
             x = inert[-1]
             assert system._inert[x] == inert
             for _ in range(40):
-                prefix = word_poly("".join(y * rng.randint(0, 3) for y in inert))
+                prefix = "".join(y * rng.randint(0, 3) for y in inert)
                 rest = "".join(rng.choice(above) for _ in range(rng.randint(1, 6)))
-                core = word_poly(rest + x)
-                expected = prefix * normalize(core, system)
-                assert normalize(prefix * core, system) == expected
-                assert reduce_randomly(prefix * core, system, rng) == expected
+                core = rest + x
+                expected = _around(prefix, normalize(word_poly(core), system), "")
+                whole = word_poly(prefix + core)
+                assert normalize(whole, system) == expected
+                assert reduce_randomly(whole, system, rng) == expected
 
     def test_a_lowering_rule_narrows_the_inert_prefix(self, reduce_randomly):
         # ac -> ca + 2b brings in b, ranked below both pattern letters, so
@@ -495,7 +432,7 @@ class TestNormalizeProperties:
         for system in SYSTEMS.values():
             for w1, w2 in zip(*[iter(_random_words(20, 6, seed=18))] * 2):
                 c1, c2 = rng.sample(in_ring, 2)
-                p = word_poly(w1, c1) + word_poly(w2, c2)
+                p = NCPolynomial([(w1, c1), (w2, c2)])
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
     def test_finished_cores_survive_a_widening(self, monkeypatch, widths):
@@ -516,7 +453,7 @@ class TestNormalizeProperties:
         result = normalize(word_poly("a" * 30 + "b" * 30), SYSTEM_A)
         assert len(widths) > 2  # the first width, then at least two more
         assert len(started) == len(set(started))
-        assert result == _a_power_b_power(30, 30)
+        assert result == to_nc(ref.a_power_b_power(30, 30))
 
     def test_normalize_widens_past_64_bits(self, widths, reduce_randomly):
         # ab -> (2^40 + q) ba: the normal form of a^3 b has a coefficient
@@ -528,7 +465,8 @@ class TestNormalizeProperties:
         result = normalize(word_poly("aaab"), system)
         assert widths[0] == 64
         assert widths[-1] > 121
-        assert result == NCPolynomial({"baaa": big * big * big})
+        cube = RationalFunction(P(ref.power((2**40, 1), 3)))
+        assert result == NCPolynomial({"baaa": cube})
         assert result == reduce_randomly(word_poly("aaab"), system, random.Random(19))
 
     def test_wide_input_coefficient_is_packed_wider(self, widths, reduce_randomly):
@@ -544,7 +482,8 @@ class TestNormalizeProperties:
 
     def test_input_terms_cancel_to_zero(self, reduce_randomly):
         # ab = q ba + c in System A
-        p = word_poly("ab") - word_poly("ba", qpow(1)) - word_poly("c")
+        minus_q, minus_one = RationalFunction(P((0, -1))), RationalFunction(P((-1,)))
+        p = NCPolynomial({"ab": RF_ONE, "ba": minus_q, "c": minus_one})
         assert normalize(p, SYSTEM_A) == NCPolynomial({})
         assert reduce_randomly(p, SYSTEM_A, random.Random(21)) == NCPolynomial({})
 
@@ -574,11 +513,11 @@ class TestPowerPass:
             ):
                 steps = list(islice(normal_powers(p, _letters(system), system), 4))
                 assert steps[0] == normalize(p, system)
-                product = p
+                product = of_nc(p)
                 for n, step in enumerate(steps):
-                    assert step == reduce_randomly(product, system, rng)
+                    assert step == reduce_randomly(to_nc(product), system, rng)
                     assert step == normal_power(p, _letters(system), n, system)
-                    product = product * s
+                    product = ref.nc_mul(product, of_nc(s))
 
     def test_without_letters_only_the_first_step_is_nonzero(self):
         p = word_poly("acab")
@@ -605,10 +544,10 @@ class TestPowerPass:
             s = base_sum(system)
             steps = list(islice(normal_powers(s, _letters(system), system), 10))
             assert len(reduced) == len(set(reduced))
-            products = [previous * s for previous in steps[:-1]]
+            products = [ref.nc_mul(of_nc(step), of_nc(s)) for step in steps[:-1]]
             assert len(reduced) < sum(len(product) for product in products)
             for product, step in zip(products, steps[1:]):
-                assert step == reduce_randomly(product, system, rng)
+                assert step == reduce_randomly(to_nc(product), system, rng)
 
     def test_every_core_is_a_normal_word_plus_one_letter(self, monkeypatch):
         # N y x with N y normal and rank(y) > rank(x): the engine never scans

@@ -10,6 +10,9 @@ from itertools import islice
 
 import pytest
 
+import reference as ref
+from conftest import of_rf, to_rf
+
 from qexpand import cli, exactarith, qnumbers
 from qexpand.exactarith import IntPolynomial, ONE, RF_ONE, RationalFunction, ZERO
 from qexpand.freealgebra import NCPolynomial
@@ -157,11 +160,8 @@ class TestThetaA:
         assert theta_a(0, 1, 0) == RF_ONE
 
     def test_recurrence_small_range(self):
-        def ext(a, b, g):
-            return theta_a(a, b, g) if min(a, b, g) >= 0 else RationalFunction()
-
-        def qpow(k):
-            return RationalFunction(P.monomial(k))
+        def family(*indices):
+            return of_rf(theta_a(*indices))
 
         for alpha in range(7):
             for beta in range(4):
@@ -169,24 +169,19 @@ class TestThetaA:
                     n = alpha + 2 * beta + gamma
                     if not 1 <= n <= 6:
                         continue
-                    rhs = (
-                        ext(alpha, beta, gamma - 1)
-                        + qpow(gamma + 2 * beta) * ext(alpha - 1, beta, gamma)
-                        + qpow(gamma)
-                        * RationalFunction(q_int(gamma + 1))
-                        * ext(alpha, beta - 1, gamma + 1)
-                    )
-                    assert theta_a(alpha, beta, gamma) == rhs
+                    rhs = ref.reference_a(family, alpha, beta, gamma)
+                    assert theta_a(alpha, beta, gamma) == to_rf(rhs)
 
     def test_beta_zero_is_gaussian_binomial(self):
         # theta_a is built from q-integer steps, so compare with the quotient
         # by long division
         for alpha in range(13):
             for gamma in range(13 - alpha):
-                quotient = q_factorial(alpha + gamma).exact_div(
-                    q_factorial(alpha) * q_factorial(gamma)
+                quotient = ref.exact_div(
+                    ref.q_factorial(alpha + gamma),
+                    ref.mul(ref.q_factorial(alpha), ref.q_factorial(gamma)),
                 )
-                assert theta_a(alpha, 0, gamma) == RationalFunction(quotient)
+                assert theta_a(alpha, 0, gamma) == RationalFunction(P(quotient))
 
     def test_polynomiality_observation(self):
         # a q-multinomial times an odd product: a polynomial by construction
@@ -212,13 +207,13 @@ class TestPhi:
         assert phi_closed(2) == expected
 
     def test_beta_three(self):
-        expected = RationalFunction(q_int(3)) * phi_closed(2)
+        expected = to_rf(ref.frac_mul(ref.frac(ref.q_int(3)), ((1, 0, 1), 1)))
         assert phi_recursive(3) == expected
         assert phi_closed(3) == expected
 
     def test_beta_four_closed_form_shape(self):
-        num = P((1, 0, 1)) * q_int(3) * P((1, 0, 0, 0, 1))
-        assert phi_closed(4) == RationalFunction(num, P((1, -1)) ** 2)
+        num = ref.mul(ref.mul((1, 0, 1), ref.q_int(3)), (1, 0, 0, 0, 1))
+        assert phi_closed(4) == RationalFunction(P(num), P((1, -2, 1)))
         assert phi_closed(4) == phi_recursive(4)
 
     def test_routes_agree_through_sixteen(self):
@@ -255,21 +250,20 @@ class TestPsi:
         # item 2i of the F chain of theta_B is phi_2i = psi(i) / (1-q)^i
         chain = list(zip(range(1, 11), islice(_factors(THETA_B), 2, None, 2)))
         assert len(chain) == 10
-        low, high = RF_ONE, RF_ONE
+        low, high = (1,), (1,)
         for i, (cs, k) in chain:
             assert k == i
-            low *= RationalFunction(q_int(2 * i))
-            high *= RationalFunction(q_int(2 * i - 1))
-            high *= RationalFunction(q_int(4 * i))
-            assert RationalFunction(P(cs)) * low == high
+            low = ref.mul(low, ref.q_int(2 * i))
+            high = ref.mul(high, ref.mul(ref.q_int(2 * i - 1), ref.q_int(4 * i)))
+            assert ref.mul(cs, low) == high
             assert psi(i) == RationalFunction(P(cs))
 
     def test_first_factor(self):
         assert psi(1) == rf((1, 0, 1))
 
     def test_second(self):
-        expected = RationalFunction(P((1, 0, 1)) * q_int(3) * P((1, 0, 0, 0, 1)))
-        assert psi(2) == expected
+        num = ref.mul(ref.mul((1, 0, 1), ref.q_int(3)), (1, 0, 0, 0, 1))
+        assert psi(2) == RationalFunction(P(num))
 
     def test_numeric(self):
         assert psi(1).evaluate(2) == pytest.approx(5)
@@ -292,11 +286,8 @@ class TestThetaB:
         assert theta_b(1, 0, 1) == rf((1, 0, 1))
 
     def test_recurrence_small_range(self):
-        def ext(a, b, g):
-            return theta_b(a, b, g) if min(a, b, g) >= 0 else RationalFunction()
-
-        def qpow(k):
-            return RationalFunction(P.monomial(k))
+        def family(*indices):
+            return of_rf(theta_b(*indices))
 
         for alpha in range(6):
             for beta in range(6):
@@ -304,16 +295,8 @@ class TestThetaB:
                     n = alpha + beta + gamma
                     if not 1 <= n <= 5:
                         continue
-                    rhs = (
-                        ext(alpha, beta, gamma - 1)
-                        + qpow(2 * gamma) * ext(alpha, beta - 1, gamma)
-                        + qpow(2 * gamma + 2 * beta) * ext(alpha - 1, beta, gamma)
-                        + xi()
-                        * qpow(2 * gamma)
-                        * RationalFunction(q_int(gamma + 1, 2))
-                        * ext(alpha, beta - 2, gamma + 1)
-                    )
-                    assert theta_b(alpha, beta, gamma) == rhs
+                    rhs = ref.reference_b(family, alpha, beta, gamma)
+                    assert theta_b(alpha, beta, gamma) == to_rf(rhs)
 
     def test_rejects_negative_indices(self):
         for indices in ((-1, 0, 1), (0, -1, 1), (1, 0, -1)):
@@ -328,69 +311,60 @@ class TestThetaB:
             for beta in range(9 - alpha):
                 for gamma in range(9 - alpha - beta):
                     n = alpha + beta + gamma
-                    plain = q_factorial(n, 2).exact_div(
-                        q_factorial(alpha, 2)
-                        * q_factorial(beta, 2)
-                        * q_factorial(gamma, 2)
-                    )
-                    assert plain == q2_multinomial(alpha, beta, gamma)
+                    parts = [ref.q_factorial(i, 2) for i in (alpha, beta, gamma)]
+                    plain = ref.exact_div(ref.q_factorial(n, 2), ref.product(parts))
+                    assert plain == q2_multinomial(alpha, beta, gamma).coeffs
 
 
 class TestEvenOddIdentity:
     def test_identity_through_twenty(self):
-        one_plus_q = P((1, 1))
         for i in range(1, 21):
-            assert one_plus_q * q_int(2 * i + 1, 2) == q_int(4 * i + 2)
+            lhs = ref.mul((1, 1), q_int(2 * i + 1, 2).coeffs)
+            assert lhs == q_int(4 * i + 2).coeffs
 
     def test_degrees_match(self):
         for i in (1, 5, 20):
-            lhs = P((1, 1)) * q_int(2 * i + 1, 2)
-            assert lhs.degree == q_int(4 * i + 2).degree == 4 * i + 1
+            lhs = ref.mul((1, 1), q_int(2 * i + 1, 2).coeffs)
+            assert len(lhs) - 1 == q_int(4 * i + 2).degree == 4 * i + 1
 
 
 def _even_product(beta):
-    product = ONE
-    for k in range(1, beta + 1):
-        product = product * q_int(2 * k)
-    return product
+    return ref.product(ref.q_int(2 * k) for k in range(1, beta + 1))
 
 
 class TestQuotientDefinitions:
     """The product-built families against their quotient definitions, which
-    are computed here by long division of polynomial products
-    (``IntPolynomial.exact_div``), independent of the q-integer steps."""
+    are computed here by long division of polynomial products in
+    :mod:`reference`, independent of the q-integer steps."""
 
     def test_theta_a(self):
         for n in range(17):
             for beta in range(n // 2 + 1):
                 for alpha in range(n - 2 * beta + 1):
                     gamma = n - 2 * beta - alpha
-                    quotient = q_factorial(n).exact_div(
-                        q_factorial(alpha) * q_factorial(gamma) * _even_product(beta)
-                    )
-                    value = theta_a(alpha, beta, gamma)
-                    assert (value.num, value.den) == (quotient, ONE)
+                    parts = [ref.q_factorial(alpha), ref.q_factorial(gamma)]
+                    parts.append(_even_product(beta))
+                    quotient = ref.exact_div(ref.q_factorial(n), ref.product(parts))
+                    assert of_rf(theta_a(alpha, beta, gamma)) == (quotient, 0)
 
     def test_theta_b(self):
         for n in range(15):
             for beta in range(n + 1):
                 for alpha in range(n - beta + 1):
                     gamma = n - beta - alpha
-                    multinomial = q_factorial(n, 2).exact_div(
-                        q_factorial(alpha, 2)
-                        * q_factorial(beta, 2)
-                        * q_factorial(gamma, 2)
-                    )
-                    quotient = RationalFunction(multinomial) * phi_recursive(beta)
-                    value = theta_b(alpha, beta, gamma)
-                    assert (value.num, value.den) == (quotient.num, quotient.den)
+                    parts = [ref.q_factorial(i, 2) for i in (alpha, beta, gamma)]
+                    whole = ref.q_factorial(n, 2)
+                    multinomial = ref.exact_div(whole, ref.product(parts))
+                    phi = of_rf(phi_recursive(beta))
+                    quotient = ref.frac_mul(ref.frac(multinomial), phi)
+                    assert of_rf(theta_b(alpha, beta, gamma)) == quotient
 
     def test_psi(self):
-        quotient = ONE
+        quotient = (1,)
         for i in range(1, 31):
-            quotient = quotient * q_int(2 * i - 1) * q_int(4 * i).exact_div(q_int(2 * i))
-            value = psi(i)
-            assert (value.num, value.den) == (quotient, ONE)
+            step = ref.exact_div(ref.q_int(4 * i), ref.q_int(2 * i))
+            quotient = ref.product((quotient, ref.q_int(2 * i - 1), step))
+            assert of_rf(psi(i)) == (quotient, 0)
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+import reference as ref
+from conftest import of_rf, plus_one, to_rf
+
 import qexpand
 from qexpand.exactarith import (
     IntPolynomial,
@@ -34,7 +37,6 @@ from qexpand.qnumbers import (
     theta,
     theta_a,
     theta_b,
-    xi,
 )
 from qexpand.verify import (
     SPECS,
@@ -295,56 +297,30 @@ class TestVerifyRecurrences:
         assert set(data) == {"suite", "cases", "failures", "duration_ms"}
 
 
-def _theta_ext(theta, alpha, beta, gamma):
-    """theta at the indices, or zero when any index is negative."""
-    if min(alpha, beta, gamma) < 0:
-        return RF_ZERO
-    return theta(alpha, beta, gamma)
-
-
-def _q_power(k):
-    return RationalFunction(P.monomial(k))
-
-
-def _reference_a(alpha, beta, gamma):
-    """The System A recurrence as a sum of RationalFunction products."""
-    return (
-        _theta_ext(theta_a, alpha, beta, gamma - 1)
-        + _q_power(gamma + 2 * beta) * _theta_ext(theta_a, alpha - 1, beta, gamma)
-        + _q_power(gamma)
-        * RationalFunction(q_int(gamma + 1))
-        * _theta_ext(theta_a, alpha, beta - 1, gamma + 1)
-    )
-
-
-def _reference_b(alpha, beta, gamma):
-    """The System B recurrence as a sum of RationalFunction products."""
-    return (
-        _theta_ext(theta_b, alpha, beta, gamma - 1)
-        + _q_power(2 * gamma) * _theta_ext(theta_b, alpha, beta - 1, gamma)
-        + _q_power(2 * gamma + 2 * beta) * _theta_ext(theta_b, alpha - 1, beta, gamma)
-        + xi()
-        * _q_power(2 * gamma)
-        * RationalFunction(q_int(gamma + 1, 2))
-        * _theta_ext(theta_b, alpha, beta - 2, gamma + 1)
-    )
-
-
 class TestRecurrencesOnNumerators:
     @pytest.mark.parametrize(
-        "system, reference, max_degree",
-        [(SYSTEM_A, _reference_a, 14), (SYSTEM_B, _reference_b, 12)],
+        "system, theta, reference, max_degree",
+        [
+            (SYSTEM_A, theta_a, ref.reference_a, 14),
+            (SYSTEM_B, theta_b, ref.reference_b, 12),
+        ],
         ids=["A", "B"],
     )
-    def test_sums_equal_the_products(self, system, reference, max_degree):
+    def test_sums_equal_the_products(self, system, theta, reference, max_degree):
+        # the recurrence as a sum of products in the reference ring, over
+        # the package's family values
         spec = SPECS[system]
+
+        def family(*indices):
+            return of_rf(theta(*indices))
+
         cases = negative = 0
         for degree in range(max_degree + 1):
             for alpha, beta, gamma in _indices(spec.closed_form.weight, degree):
                 # a zero index sends some term of the recurrence below zero
                 negative += min(alpha, beta, gamma) == 0
                 value = spec.recurrence(alpha, beta, gamma)
-                expected = reference(alpha, beta, gamma)
+                expected = to_rf(reference(family, alpha, beta, gamma))
                 assert (value.num, value.den) == (expected.num, expected.den)
                 cases += 1
         assert negative and negative < cases
@@ -393,7 +369,7 @@ class TestOracles:
 
     def test_q2_multinomial_values(self):
         assert q2_multinomial(1, 1, 0) == P((1, 0, 1))
-        assert q2_multinomial(1, 1, 1) == q_int(3, 2) * q_int(2, 2)
+        assert q2_multinomial(1, 1, 1) == P(ref.mul(ref.q_int(3, 2), ref.q_int(2, 2)))
         assert q2_multinomial(0, 0, 0) == ONE
 
 
@@ -414,7 +390,7 @@ class TestSuitesCanFail:
 
     def test_lemma_reports_the_mismatched_word(self, wrong_formula_term):
         right = theta_a(1, 1, 1)
-        wrong = right + RF_ONE
+        wrong = plus_one(right)
         wrong_formula_term(SYSTEM_A, "bca")
         reports = verify_expansions(SYSTEM_A, 6)
         assert [r.n for r in reports if not r.match] == [4]
@@ -429,7 +405,7 @@ class TestSuitesCanFail:
         wrong_formula_term(SYSTEM_A, "bbca")
         reports = verify_expansions(SYSTEM_A, 6)
         assert [r.n for r in reports if not r.match] == [5]
-        assert reports[4].mismatches == (Mismatch("bbca", right + RF_ONE, right),)
+        assert reports[4].mismatches == (Mismatch("bbca", plus_one(right), right),)
         assert reports[4].formula_terms.coefficient("bcaa") == right
 
     def test_degenerations_count_one_wrong_binomial(self, wrong_formula_term):
@@ -442,7 +418,7 @@ class TestSuitesCanFail:
 
         def recursive():
             for beta, phi in enumerate(original()):
-                yield phi + (RF_ONE if beta == 7 else RF_ZERO)
+                yield plus_one(phi) if beta == 7 else phi
 
         monkeypatch.setattr(verify, "phi_sequence", recursive)
         summary = verify_phi(10)
@@ -453,7 +429,7 @@ class TestSuitesCanFail:
 
         def closed():
             for beta, phi in enumerate(original()):
-                yield phi + (RF_ONE if beta == 4 else RF_ZERO)
+                yield plus_one(phi) if beta == 4 else phi
 
         monkeypatch.setattr(verify, "phi_closed_sequence", closed)
         summary = verify_phi(10)
@@ -464,7 +440,7 @@ class TestSuitesCanFail:
 
         def recurrence(*indices):
             value = spec.recurrence(*indices)
-            return value + RF_ONE if indices == (1, 1, 1) else value
+            return plus_one(value) if indices == (1, 1, 1) else value
 
         monkeypatch.setitem(SPECS, SYSTEM_B, spec._replace(recurrence=recurrence))
         summary = verify_recurrences(SYSTEM_B, 4)
@@ -475,7 +451,8 @@ class TestSuitesCanFail:
 
         def q_int_wrong(n, power=1):
             value = original(n, power)
-            return value + ONE if (n, power) == (10, 1) else value
+            wrong = P(ref.add(value.coeffs, (1,)))
+            return wrong if (n, power) == (10, 1) else value
 
         monkeypatch.setattr(verify, "q_int", q_int_wrong)
         summary = verify_identity_4i2(5)
@@ -543,7 +520,7 @@ class TestEvalAtRoot:
 
     def test_rejects_small_order(self):
         with pytest.raises(ValueError, match="N must be >= 3"):
-            eval_at_root(NCPolynomial.one(), 2)
+            eval_at_root(NCPolynomial({"": RF_ONE}), 2)
 
     def test_formula_matches_oracle_numerically(self):
         q0 = cmath.exp(2j * cmath.pi * 0.2371)
