@@ -12,7 +12,6 @@ from .exactarith import (
     RF_ONE,
     RF_ZERO,
     over_one_minus_q,
-    poly_gcd,
 )
 from .freealgebra import GENERATORS, NCPolynomial, format_word, parse_word
 from .ordering import (
@@ -60,7 +59,6 @@ __all__ = [
     "RationalFunction",
     "RF_ZERO",
     "RF_ONE",
-    "poly_gcd",
     "over_one_minus_q",
     "GENERATORS",
     "NCPolynomial",

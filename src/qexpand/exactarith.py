@@ -25,16 +25,16 @@ The only denominator the relations bring in is that of ``xi`` =
 (q+q^2)/(1-q), defined here for both routes, so every rule, every
 phi_beta and every coefficient of both expansions lies in Z[q, 1/(1-q)];
 phi_2i = psi(i)/(1-q)^i, for example.  Every route builds its values as
-num/(1-q)^k, and that is the one stored form: ``.num`` and ``.den`` with
-den = (1-q)^k.  The public ``RationalFunction`` constructor raises
-TypeError unless both parts are ``IntPolynomial`` values, and accepts a
-denominator only of the form +-(q-1)^k, raising ValueError for any
-other; the package builds its own values with ``over_one_minus_q(cs, k)``,
-which skips these checks.  Both divide the root q = 1 out of the
-numerator, at most k times, by running sums; since 1 - q is prime in
-Z[q], the result is canonical with no gcd, exact division or content
-step.  The JSON form is num/(q-1)^k, so ``to_json`` negates both parts
-for odd k.
+num/(1-q)^k, and the pair (num, k) is the one stored form: ``.num`` and
+``.k``, with the denominator ``.den`` = (1-q)^k derived from k for
+output and evaluation.  The public constructor ``RationalFunction(num,
+k)`` raises TypeError unless num is an ``IntPolynomial`` value and k an
+int, and ValueError for k < 0; the package builds its own values with
+``over_one_minus_q(cs, k)``, which skips these checks.  Both divide the
+root q = 1 out of the numerator, at most k times, by running sums; since
+1 - q is prime in Z[q], the result is canonical with no gcd, exact
+division or content step.  JSON is an output form only: num/(q-1)^k, so
+``to_json`` negates both parts for odd k.
 
 No route adds values, or multiplies ``RationalFunction`` values.  These
 operators stay only for the benchmark harness under ``bench/``:
@@ -62,8 +62,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from math import gcd as _int_gcd
-from operator import add, index, neg, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, index, sub
+from typing import Iterable, Iterator
 
 _new = object.__new__
 
@@ -194,10 +194,6 @@ class IntPolynomial:
         """Coefficients as decimal strings, ascending degree, bit-exact."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> IntPolynomial:
-        return cls(tuple(int(s) for s in data))
-
     def str_parts(self) -> Iterator[str]:
         """The pieces of str(self), one per nonzero term, to be joined by ''."""
         if not self.coeffs:
@@ -293,20 +289,6 @@ def _one_minus_q_power(k: int) -> IntPolynomial:
     )
 
 
-def _q_minus_one_exponent(cs: tuple[int, ...]) -> int:
-    """k when cs are the coefficients of +-(q-1)**k (+-1 gives 0), else -1."""
-    k = len(cs) - 1
-    if k < 0 or abs(cs[0]) != 1:
-        return -1
-    # every (1-q)**k with k >= 1 vanishes at q = 1, and its two lowest
-    # coefficients are 1 and -k
-    if k and (sum(cs) or cs[1] != -k * cs[0]):
-        return -1
-    if cs[0] < 0:
-        cs = tuple(map(neg, cs))
-    return k if cs == _one_minus_q_power(k).coeffs else -1
-
-
 def _divide_out_root_one(
     cs: tuple[int, ...], cap: int
 ) -> tuple[tuple[int, ...], int]:
@@ -376,48 +358,47 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 
 class RationalFunction:
-    """A value num/den of the ring Z[q, 1/(1-q)] in canonical form.
+    """A value num/(1-q)**k of the ring Z[q, 1/(1-q)] in canonical form.
 
-    The denominator given must be +-(q-1)**k with k >= 0; any other raises
-    ValueError.  Canonical means: den is (1-q)**k, with k = den.degree, and
-    1 - q does not divide num when k > 0; zero is 0/1.  Since 1 - q is
-    prime in Z[q], this form is unique.  ``to_json`` writes the value over
-    (q-1)**k, the published form, which the constructor reads back.
+    k must be an int >= 0; the constructor raises ValueError for k < 0.
+    Canonical means: 1 - q does not divide num when k > 0, and zero is 0
+    with k = 0.  Since 1 - q is prime in Z[q], this form is unique.  The
+    denominator ``den`` is derived from k.  ``to_json`` writes the value
+    over (q-1)**k, the published form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "k")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, num: IntPolynomial = ZERO, den: IntPolynomial = ONE) -> None:
-        if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
-            raise TypeError("num and den must be IntPolynomial values")
-        if den.coeffs != (1,):
-            k = _q_minus_one_exponent(den.coeffs)
-            if k < 0:
-                if den.is_zero():
-                    raise ZeroDivisionError("division by zero polynomial")
-                raise ValueError(f"({num})/({den}) is not in Z[q, 1/(1-q)]")
-            if den.coeffs[0] < 0:
-                num = -num
-            # cancel the multiplicity j of the root q = 1 of num
-            cs, j = _divide_out_root_one(num.coeffs, k)
-            num, den = IntPolynomial._raw(cs), _one_minus_q_power(k - j)
-        _set_num(self, num)
-        _set_den(self, den)
+    def __init__(self, num: IntPolynomial = ZERO, k: int = 0) -> None:
+        if not isinstance(num, IntPolynomial):
+            raise TypeError("num must be an IntPolynomial value")
+        k = index(k)
+        if k < 0:
+            raise ValueError(f"negative power {k} of 1 - q")
+        # cancel the multiplicity j of the root q = 1 of num
+        cs, j = _divide_out_root_one(num.coeffs, k)
+        _set_num(self, IntPolynomial._raw(cs) if j else num)
+        _set_k(self, k - j)
+
+    @property
+    def den(self) -> IntPolynomial:
+        """The denominator (1-q)**k."""
+        return _one_minus_q_power(self.k)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.num == other.num and self.den == other.den
+            return self.k == other.k and self.num == other.num
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, self.k))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(num={self.num!r}, den={self.den!r})"
+        return f"{type(self).__name__}(num={self.num!r}, k={self.k!r})"
 
     def __reduce__(self):
-        return type(self), (self.num, self.den)
+        return type(self), (self.num, self.k)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -428,9 +409,9 @@ class RationalFunction:
     def __add__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # each den is (1-q)**k with k = den.degree: lift the lower power
+        # lift the lower power of 1 - q
         a, b = self.num, other.num
-        ka, kb = self.den.degree, other.den.degree
+        ka, kb = self.k, other.k
         if ka < kb:
             a = a * _one_minus_q_power(kb - ka)
         elif kb < ka:
@@ -440,9 +421,7 @@ class RationalFunction:
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return over_one_minus_q(
-            (self.num * other.num).coeffs, self.den.degree + other.den.degree
-        )
+        return over_one_minus_q((self.num * other.num).coeffs, self.k + other.k)
 
     def evaluate(self, point: complex) -> complex:
         """num(point)/den(point) in complex double precision.
@@ -455,19 +434,13 @@ class RationalFunction:
     def to_json(self) -> dict[str, list[str]]:
         """num and den over the denominator (q-1)**k."""
         num, den = self.num, self.den
-        if den.degree % 2:
+        if self.k % 2:
             num, den = -num, -den
         return {"num": num.to_json(), "den": den.to_json()}
 
-    @classmethod
-    def from_json(cls, data: dict[str, Sequence[str]]) -> RationalFunction:
-        return cls(
-            IntPolynomial.from_json(data["num"]), IntPolynomial.from_json(data["den"])
-        )
-
     def str_parts(self) -> Iterator[str]:
         """The pieces of str(self), to be joined by ''."""
-        if self.den == ONE:
+        if not self.k:
             yield from self.num.str_parts()
             return
         yield "("
@@ -481,7 +454,7 @@ class RationalFunction:
 
 
 _set_num = RationalFunction.num.__set__
-_set_den = RationalFunction.den.__set__
+_set_k = RationalFunction.k.__set__
 
 
 def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
@@ -491,7 +464,7 @@ def over_one_minus_q(cs: tuple[int, ...], k: int) -> RationalFunction:
     cs, j = _divide_out_root_one(cs, k)
     value = _new(RationalFunction)
     _set_num(value, IntPolynomial._raw(cs))
-    _set_den(value, _one_minus_q_power(k - j))
+    _set_k(value, k - j)
     return value
 
 

@@ -89,15 +89,8 @@ class NCPolynomial:
         return out
 
     @classmethod
-    def zero(cls) -> NCPolynomial:
-        return cls._from_reduced({})
-
-    @classmethod
     def from_word(cls, word: str, coeff: RationalFunction = RF_ONE) -> NCPolynomial:
-        parse_word(word)
-        if coeff.is_zero():
-            return cls.zero()
-        return cls._from_reduced({word: coeff})
+        return cls({word: coeff})
 
     def items(self):
         """Raw (word, coefficient) view; use terms() for canonical order."""
@@ -144,12 +137,6 @@ class NCPolynomial:
     def to_json(self) -> list[dict]:
         """Terms in canonical order; the empty word serializes as ''."""
         return list(self.json_terms())
-
-    @classmethod
-    def from_json(cls, data: Iterable[dict]) -> NCPolynomial:
-        return cls(
-            (item["word"], RationalFunction.from_json(item["coeff"])) for item in data
-        )
 
     def str_parts(self) -> Iterator[str]:
         """The pieces of str(self), one per term, to be joined by ' + '."""

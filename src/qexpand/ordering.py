@@ -312,7 +312,7 @@ class _Overflow(Exception):
 
 def _factor(value: RationalFunction, bits: int) -> tuple[int, int, int, int]:
     """The packed factor of a nonzero value of Z[q, 1/(1-q)]."""
-    cs, k = value.num.coeffs, value.den.degree
+    cs, k = value.num.coeffs, value.k
     m = next(i for i, c in enumerate(cs) if c)
     return m * bits, kronecker_pack(cs[m:], bits), k, sum(map(abs, cs))
 
@@ -382,7 +382,7 @@ class _Cores:
         if bound >> (self.bits - 1):
             self.widen(bound, {})
         return {
-            w: (kronecker_pack(c.num.coeffs, self.bits), c.den.degree, bounds[w])
+            w: (kronecker_pack(c.num.coeffs, self.bits), c.k, bounds[w])
             for w, c in p.items()
         }
 

@@ -127,7 +127,7 @@ def _term(theta, indices, shift=0, m=1, p=1, times_xi=False):
     if min(indices) < 0:
         return (), 0
     value = theta(*indices)
-    cs, k = value.num.coeffs, value.den.degree
+    cs, k = value.num.coeffs, value.k
     if times_xi:
         cs, k = times_q_int((0,) + cs, 2), k + 1
     return (0,) * shift + times_q_int(cs, m, p), k

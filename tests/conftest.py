@@ -12,8 +12,7 @@ from qexpand.freealgebra import NCPolynomial
 def to_rf(value):
     """The RationalFunction of a reference pair (num, k)."""
     num, k = value
-    den = ref.power(ref.ONE_MINUS_Q, k)
-    return RationalFunction(IntPolynomial(num), IntPolynomial(den))
+    return RationalFunction(IntPolynomial(num), k)
 
 
 def to_nc(terms):
@@ -23,9 +22,7 @@ def to_nc(terms):
 
 def of_rf(value):
     """The reference pair of a RationalFunction, read from its fields."""
-    k = value.den.degree
-    assert value.den.coeffs == ref.power(ref.ONE_MINUS_Q, k)
-    return value.num.coeffs, k
+    return value.num.coeffs, value.k
 
 
 def of_nc(p):

@@ -129,6 +129,17 @@ def frac(num, k=0):
     return num, k
 
 
+def published(data):
+    """The value of the published JSON form {"num": [...], "den": [...]}:
+    num over (q-1)^k, with decimal-string coefficients in ascending degree;
+    ValueError for any other denominator."""
+    num, den = (tuple(int(c) for c in data[part]) for part in ("num", "den"))
+    k = len(den) - 1
+    if den != power((-1, 1), k):
+        raise ValueError(f"{den} is not (q-1)^{k}")
+    return frac(neg(num) if k % 2 else num, k)
+
+
 def q_power(k):
     """q^k as a value of the ring."""
     return monomial(k), 0
@@ -173,6 +184,15 @@ def nc(terms):
             out.pop(word, None)
         else:
             out[word] = total
+    return out
+
+
+def published_terms(items):
+    """The element of the published JSON form, a list of {"word", "coeff"}
+    items; ValueError for a repeated word or a zero coefficient."""
+    out = {item["word"]: published(item["coeff"]) for item in items}
+    if len(out) != len(items) or ZERO in out.values():
+        raise ValueError("a word is repeated or has the coefficient zero")
     return out
 
 

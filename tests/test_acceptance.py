@@ -59,9 +59,7 @@ def test_lemma2_equivalence():
 
 def test_lemma3_phi_routes():
     summary = verify_phi(40)
-    beta2 = phi_recursive(2) == phi_closed(2) == RationalFunction(
-        P((1, 0, 1)), P((1, -1))
-    )
+    beta2 = phi_recursive(2) == phi_closed(2) == RationalFunction(P((1, 0, 1)), 1)
     ok = summary.cases == 41 and summary.failures == 0 and beta2
     _criterion("phi recursion equals closed form for beta=0..40, beta=2 verbatim", ok)
 

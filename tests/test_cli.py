@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import reference as ref
-from conftest import to_nc
+from conftest import of_nc, to_nc
 
 import qexpand
 from qexpand import cli
@@ -103,8 +103,8 @@ class TestExpandAndNormalize:
         _, out, _ = run_cli(
             ["expand", "--system", "B", "--n", "3", "--format", "json"], capsys
         )
-        parsed = NCPolynomial.from_json(json.loads(out))
-        assert parsed == expand_formula(SYSTEM_B, 3)
+        parsed = ref.published_terms(json.loads(out))
+        assert parsed == of_nc(expand_formula(SYSTEM_B, 3))
 
     def test_normalize_text(self, capsys):
         code, out, _ = run_cli(["normalize", "--system", "A", "--word", "ab"], capsys)

@@ -13,8 +13,8 @@ from qexpand.freealgebra import NCPolynomial, format_word, parse_word, word_sort
 P = IntPolynomial
 
 
-def rf(num, den=(1,)):
-    return RationalFunction(P(num), P(den))
+def rf(num, k=0):
+    return RationalFunction(P(num), k)
 
 
 Q1 = rf((0, 1))
@@ -66,7 +66,7 @@ class TestNCPolynomial:
 
     def test_add_cancels_to_zero(self):
         p = NCPolynomial([("ba", Q1), ("ba", rf((0, -1)))])
-        assert p == NCPolynomial.zero()
+        assert p == NCPolynomial()
         assert len(p) == 0
 
     def test_add_merges_coefficients(self):
@@ -84,6 +84,15 @@ class TestNCPolynomial:
         for coeff in (1, P((1,)), (1,)):
             with pytest.raises(TypeError, match="coefficient of 'ab'"):
                 NCPolynomial({"ab": coeff})
+
+    def test_from_word_checks_its_coefficient(self):
+        for coeff in (P((1, 2)), 3):
+            with pytest.raises(TypeError, match="coefficient of 'ab'"):
+                NCPolynomial.from_word("ab", coeff)
+        with pytest.raises(ValueError, match="invalid generator"):
+            NCPolynomial.from_word("ax")
+        assert NCPolynomial.from_word("ab", rf(())) == NCPolynomial()
+        assert NCPolynomial.from_word("ab", Q1) == NCPolynomial({"ab": Q1})
 
     def test_mul_concatenates(self):
         p = NCPolynomial.from_word("a") * NCPolynomial.from_word("b")
@@ -103,8 +112,8 @@ class TestNCPolynomial:
     def test_scale_by_zero(self):
         p = NCPolynomial({"ba": Q1, "c": RF_ONE})
         zero = NCPolynomial({"": rf(())})
-        assert zero == NCPolynomial.zero()
-        assert p * zero == zero * p == NCPolynomial.zero()
+        assert zero == NCPolynomial()
+        assert p * zero == zero * p == NCPolynomial()
 
     def test_scale_single_term(self):
         scaled = NCPolynomial.from_word("ba") * NCPolynomial({"": Q1})
@@ -138,7 +147,7 @@ class TestNCPolynomial:
     def test_str_rendering(self):
         p = NCPolynomial({"bb": RF_ONE, "ba": rf((1, 1)), "c": RF_ONE, "aa": RF_ONE})
         assert str(p) == "c + a^2 + (1+q)·b·a + b^2"
-        assert str(NCPolynomial.zero()) == "0"
+        assert str(NCPolynomial()) == "0"
         assert str(ONE) == "1"
 
     def test_rejects_invalid_words(self):
@@ -146,10 +155,10 @@ class TestNCPolynomial:
             NCPolynomial({"xz": RF_ONE})
 
     def test_json_round_trip(self):
-        p = NCPolynomial({"bca": rf((0, 1, 1), (1, -1)), "": RF_ONE})
+        p = NCPolynomial({"bca": rf((0, 1, 1), 1), "": RF_ONE})
         data = p.to_json()
-        assert data[0]["word"] == ""
-        assert NCPolynomial.from_json(data) == p
+        assert [item["word"] for item in data] == ["", "bca"]
+        assert ref.published_terms(data) == of_nc(p)
 
     @given(ncpolys, ncpolys, ncpolys)
     @settings(max_examples=40)

@@ -18,12 +18,21 @@ from qexpand import exactarith, freealgebra
 PACKAGE = os.path.dirname(qexpand.__file__)
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
-# operators no route reached; the tests build their values in reference.py
+# operators no route reached; the tests build their values in reference.py,
+# and read the JSON output with it
 DELETED = {
-    exactarith.IntPolynomial: {"monomial", "__sub__", "__pow__", "__rmul__"},
-    exactarith.RationalFunction: {"__sub__", "__neg__"},
+    exactarith.IntPolynomial: {
+        "monomial",
+        "__sub__",
+        "__pow__",
+        "__rmul__",
+        "from_json",
+    },
+    exactarith.RationalFunction: {"__sub__", "__neg__", "from_json"},
     freealgebra.NCPolynomial: {
         "one",
+        "zero",
+        "from_json",
         "__add__",
         "__sub__",
         "__neg__",
@@ -124,3 +133,15 @@ def test_no_deleted_operator_returns():
     for cls, names in DELETED.items():
         assert not names & set(vars(cls)), cls.__name__
     assert not hasattr(exactarith, "Q")
+    # the denominator parser, and the top-level name of a gcd no route calls
+    assert not hasattr(exactarith, "_q_minus_one_exponent")
+    assert not hasattr(qexpand, "poly_gcd")
+    assert "poly_gcd" not in qexpand.__all__
+
+
+def test_k_is_read_from_the_value_not_from_its_denominator():
+    # den is derived from k for output; the routes read k itself
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename)) as source:
+                assert ".den.degree" not in source.read(), filename

@@ -103,10 +103,13 @@ class TestRelationSystem:
 
     def test_rule_coefficient_must_lie_in_the_ring(self):
         # the engine packs every rule coefficient as num/(1-q)^k; a
-        # coefficient outside Z[q, 1/(1-q)] cannot even be built
+        # coefficient outside Z[q, 1/(1-q)] cannot even be built, since a
+        # value names its denominator by the power k
         for den in ((2,), (1, 1)):
-            with pytest.raises(ValueError, match="not in Z"):
+            with pytest.raises(TypeError):
                 RationalFunction(P((1,)), P(den))
+        with pytest.raises(ValueError, match="negative power"):
+            RationalFunction(P((1,)), -1)
 
     def test_rules_that_all_map_to_zero(self):
         zero = NCPolynomial()
@@ -425,7 +428,7 @@ class TestNormalizeProperties:
         # coefficients over any power of 1 - q and of either sign scale the
         # normal form
         for num, den in (((1,), (2,)), ((0, 3), (1, 1))):
-            with pytest.raises(ValueError, match="not in Z"):
+            with pytest.raises(TypeError):
                 RationalFunction(P(num), P(den))
         in_ring = [xi(), over_one_minus_q((-1,), 3), qpow(5)]
         rng = random.Random(18)
