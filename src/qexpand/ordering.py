@@ -91,12 +91,39 @@ the step.  Cores finished before the overflow stay in the table, so only
 the reductions then in progress are redone.  The bounds do not depend on
 W, so the redone work checks against the same bounds.
 
+:func:`normal_powers` takes the polynomial each step is expected to be,
+and compares the step with it in packed form, word by word, with no
+decode.  The two word sets must be equal.  Take a word whose step value
+is (N, k, b) and whose expected value is num_f/(1-q)^k_f.  The expected
+value is canonical (1 - q does not divide num_f when k_f > 0), so k_f is
+the least power of 1/(1-q) it can be written over.  If k < k_f, the
+values differ, for equality would make num_f = num (1-q)^(k_f-k) vanish
+at q = 1.  If k >= k_f, they are equal exactly when num = num_f (1-q)^d
+with d = k - k_f.  The right side is packed at the step's W and lifted
+by one shift-subtraction per power of 1 - q, as in :func:`_add`, and its
+bound is ||num_f||_1 2^d.  When that bound is below 2^(W-1), both N and
+the lifted integer are packings of polynomials whose coefficients are
+balanced base-2^W digits (b < 2^(W-1) holds for every value of a step),
+and packing is injective on those, so the integers are equal exactly
+when the values are.  For d = 0 the bound is not needed:
+:func:`kronecker_pack` returns a value only when every coefficient of
+num_f is such a digit.  When the lift's bound reaches 2^(W-1), or the
+pack refuses a coefficient, no bound decides the word, and the step is
+decoded, like every step that differs; the caller compares decoded steps
+word by word, so every mismatch it reports holds decoded values.  A step
+proved equal is handed back as the expected polynomial itself.  Each
+distinct value object of the expected polynomial is packed once per
+power of 1 - q that the step asks of it, so a word and its mirror, which
+share one object, cost one pack.
+
 This module is the only one that packs (Kronecker substitution: von zur
 Gathen and Gerhard, *Modern Computer Algebra*, section 8.4), with one
 byte-aligned codec on balanced base-2^W digits, W a multiple of 8:
-:func:`kronecker_pack`, :func:`kronecker_respace` (to a wider W, by
-strided copies of byte columns) and :func:`kronecker_unpack` (reading
-64-bit limbs with ``array``).  Decoded results are built by
+:func:`kronecker_pack` (reading coefficients in [0, 2^63) as 64-bit
+words with ``array``, one ``to_bytes`` per coefficient otherwise),
+:func:`kronecker_respace` (to a wider W, by strided copies of byte
+columns) and :func:`kronecker_unpack` (reading 64-bit limbs with
+``array``).  Decoded results are built by
 :func:`~qexpand.exactarith.over_one_minus_q`, which cancels any factor
 1 - q, so they are canonical and equal to values computed any other way.
 """
@@ -106,7 +133,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import islice
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .exactarith import (
     IntPolynomial,
@@ -223,11 +250,29 @@ def _bias(count: int, bits: int) -> int:
 def kronecker_pack(cs: Sequence[int], bits: int) -> int:
     """The value at q = 2**bits of the polynomial with coefficients cs.
 
-    ``bits`` is a multiple of 8 and every coefficient lies in
-    [-2**(bits-1), 2**(bits-1)).  A bias of 2**(bits-1) makes each one a
-    nonnegative ``bits``-bit digit, so the digits pack with one
-    ``int.from_bytes``; the biases are subtracted again as one integer.
+    ``bits`` is a multiple of 8 and every coefficient must lie in
+    [-2**(bits-1), 2**(bits-1)); OverflowError when one does not, so a
+    value returned is always the packing of cs.  From 64 bits up,
+    coefficients in [0, 2**63) are read by ``array`` as unsigned 64-bit
+    words, which are then the digits at 64 bits (``array`` refuses a
+    negative coefficient or one of 64 bits, and the mask of the words' top
+    bits shows one of 63), and :func:`kronecker_respace` moves the value
+    to ``bits``.  Otherwise a bias of 2**(bits-1) makes each coefficient a
+    nonnegative ``bits``-bit digit, one ``to_bytes`` each, so the digits
+    pack with one ``int.from_bytes``; the biases are subtracted again as
+    one integer.
     """
+    if bits >= 64:
+        try:
+            words = array("Q", cs)
+        except OverflowError:
+            pass
+        else:
+            if sys.byteorder == "big":
+                words.byteswap()
+            value = int.from_bytes(words, "little")
+            if not value & _bias(len(words), 64):
+                return kronecker_respace(value, 64, bits) if bits > 64 else value
     width, half = bits // 8, 1 << (bits - 1)
     digits = b"".join([(c + half).to_bytes(width, "little") for c in cs])
     return int.from_bytes(digits, "little") - _bias(len(cs), bits)
@@ -549,12 +594,58 @@ def _power_pass(
         started = True
 
 
+def _packed_over(value: RationalFunction, k: int, bits: int) -> Optional[int]:
+    """The numerator of ``value`` written over (1-q)^k, packed at width W =
+    ``bits`` under a bound below 2^(W-1); None when k is below the power of
+    the canonical ``value``, so that no such numerator exists, or when no
+    bound decides.  Over a power d higher, the numerator is multiplied by
+    (1-q)^d, one shift-subtraction per power as in :func:`_add`, with its
+    bound ||num||_1 2^d."""
+    cs, d = value.num.coeffs, k - value.k
+    if d < 0 or (d and sum(map(abs, cs)) << d >> (bits - 1)):
+        return None
+    try:
+        n = kronecker_pack(cs, bits)
+    except OverflowError:
+        return None
+    for _ in range(d):
+        n -= n << bits
+    return n
+
+
+def _proven_equal(terms: dict, bits: int, expected: NCPolynomial) -> bool:
+    """True when the packed step ``terms`` at width ``bits`` is proven equal
+    to ``expected``, word by word in packed form; False when the two differ
+    or when no bound decides.  Each distinct value object of ``expected``
+    is packed once per power of 1 - q that the step asks of it."""
+    if len(terms) != len(expected):
+        return False
+    packed: dict = {}
+    for word, value in expected.items():
+        if word not in terms:
+            return False
+        n, k, _ = terms[word]
+        key = id(value), k  # expected keeps every value alive: ids are distinct
+        if key not in packed:
+            packed[key] = _packed_over(value, k, bits)
+        if packed[key] != n:  # None, undecided, is equal to no N
+            return False
+    return True
+
+
 def normal_powers(
-    p: NCPolynomial, letters: str, system: RelationSystem
+    p: NCPolynomial,
+    letters: str,
+    expected: Iterable[NCPolynomial],
+    system: RelationSystem,
 ) -> Iterator[NCPolynomial]:
-    """The normal forms of p, p s, p s^2, ... without end, s the sum of the
-    letters, from one pass that decodes every step."""
-    return (_decode(terms, bits) for terms, bits in _power_pass(p, letters, system))
+    """The normal forms of p, p s, p s^2, ..., s the sum of the letters, one
+    per polynomial of ``expected``, from one pass: a step proven equal to
+    its expected polynomial in packed form is that polynomial itself, and
+    any other step, one that differs or that no bound decides, is
+    decoded."""
+    for want, (terms, bits) in zip(expected, _power_pass(p, letters, system)):
+        yield want if _proven_equal(terms, bits, want) else _decode(terms, bits)
 
 
 def normal_power(

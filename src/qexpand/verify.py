@@ -11,8 +11,11 @@ its closed form times q^s (a shift), a q-integer or xi = q [2]/(1-q) (a shift,
 a step and k + 1), added over the top k with no polynomial product.
 
 The oracle route is :mod:`qexpand.ordering` alone, and it hands back
-decoded ``NCPolynomial`` values only: every step of one pass to
-:func:`verify_expansions`, and the last step alone to :func:`expand_oracle`.
+``NCPolynomial`` values only.  :func:`verify_expansions` gives one pass the
+formula of each n as input; the pass compares its step with it in packed
+form and hands back a step it proves equal as the formula's polynomial
+itself, and any other step decoded.  :func:`expand_oracle` gets the last
+step of a pass alone, decoded.
 
 The formula route walks each row of fixed beta: neighbouring coefficients
 differ by a ratio of q-integers, so each costs one O(degree) step of
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import time
-from itertools import chain, zip_longest
+from itertools import chain, count, tee, zip_longest
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -89,7 +92,9 @@ class Mismatch(NamedTuple):
 
 
 class ExpansionReport(NamedTuple):
-    """Outcome of comparing both expansion routes for one exponent."""
+    """Outcome of comparing both expansion routes for one exponent.  When
+    the oracle proved its step equal in packed form, ``oracle_terms`` is
+    the ``formula_terms`` object itself; otherwise it is the decoded step."""
 
     system: str
     n: int
@@ -259,21 +264,34 @@ def expand_oracle(system: RelationSystem, n: int) -> NCPolynomial:
     return normal_power(s, "".join(s.words()), n - 1, system)
 
 
+def _words(formula: NCPolynomial, oracle: NCPolynomial) -> set[str]:
+    """Every word of either expansion."""
+    return {w for w, _ in formula.items()} | {w for w, _ in oracle.items()}
+
+
 def _pairs(
     formula: NCPolynomial, oracle: NCPolynomial
 ) -> Iterator[tuple[str, RationalFunction, RationalFunction]]:
     """Every word of either expansion, in term order, with both coefficients."""
-    words = {w for w, _ in formula.items()} | {w for w, _ in oracle.items()}
-    for w in sorted(words, key=word_sort_key):
+    for w in sorted(_words(formula, oracle), key=word_sort_key):
         yield w, formula.coefficient(w), oracle.coefficient(w)
 
 
 def _compare(formula: NCPolynomial, oracle: NCPolynomial) -> tuple[Mismatch, ...]:
-    """The words whose coefficients differ, in term order; no sort when the
-    two expansions agree."""
-    if formula == oracle:
+    """The words whose coefficients differ, in term order.  A step that the
+    oracle proved equal is the formula itself; one decoded that agrees
+    needs no sort."""
+    if oracle is formula or formula == oracle:
         return ()
     return tuple(Mismatch(w, f, o) for w, f, o in _pairs(formula, oracle) if f != o)
+
+
+def _word_flags(report: ExpansionReport) -> Iterator[bool]:
+    """One flag per word of either expansion of a report, true on a word
+    whose coefficients differ: the report's mismatches, counted with no
+    second comparison."""
+    failed = {m.word for m in report.mismatches}
+    return (w in failed for w in _words(report.formula_terms, report.oracle_terms))
 
 
 def _tally(suite: str, failed: Iterable[bool]) -> VerificationSummary:
@@ -287,25 +305,30 @@ def _tally(suite: str, failed: Iterable[bool]) -> VerificationSummary:
 def verify_expansions(system: RelationSystem, max_n: int) -> list[ExpansionReport]:
     """Compare formula and oracle expansions for every n up to max_n.
 
-    The oracle runs one pass, each step building on the last, so a report's
-    duration_ms times step n only: the formula, one oracle step, its
-    decoding and the comparison."""
+    The oracle runs one pass, each step building on the last and compared
+    in packed form with the formula of its n, which it is given as input.
+    A step it proves equal is handed back as the formula's polynomial
+    itself, which is then the report's ``oracle_terms`` too; any other
+    step, one that differs or that no bound decides, is decoded and
+    compared word by word.  A report's duration_ms times step n only: the
+    formula, one oracle step, its comparison and any decoding."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    reports = []
     s = base_sum(system)
-    oracle_steps = normal_powers(s, "".join(s.words()), system)
-    for n in range(1, max_n + 1):
-        start = time.perf_counter()
-        formula = expand_formula(system, n)
-        oracle = next(oracle_steps)
+    formulas, expected = tee(expand_formula(system, n) for n in range(1, max_n + 1))
+    steps = normal_powers(s, "".join(s.words()), expected, system)
+    reports = []
+    start = time.perf_counter()
+    for n, formula, oracle in zip(count(1), formulas, steps):
         mismatches = _compare(formula, oracle)
-        duration = int((time.perf_counter() - start) * 1000)
+        end = time.perf_counter()
+        duration = int((end - start) * 1000)
         reports.append(
             ExpansionReport(
                 system.name, n, formula, oracle, not mismatches, mismatches, duration
             )
         )
+        start = end
     return reports
 
 
@@ -351,8 +374,7 @@ def verify_degenerations(
         raise ValueError("bounds must be >= 1")
     bounds = ((SYSTEM_A_C0, binomial_bound), (SYSTEM_B_XI0, multinomial_bound))
     reports = (r for system, bound in bounds for r in verify_expansions(system, bound))
-    pairs = (pair for r in reports for pair in _pairs(r.formula_terms, r.oracle_terms))
-    return _tally("degenerations", (f != o for _, f, o in pairs))
+    return _tally("degenerations", chain.from_iterable(map(_word_flags, reports)))
 
 
 def verify_identity_4i2(max_i: int) -> VerificationSummary:

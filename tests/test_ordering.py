@@ -2,14 +2,14 @@
 
 import copy
 import random
-from itertools import islice, permutations, product
+from itertools import islice, permutations, product, repeat
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import of_nc, to_nc, to_rf
+from conftest import of_nc, of_rf, to_nc, to_rf
 
 from qexpand.exactarith import (
     IntPolynomial,
@@ -501,6 +501,12 @@ def _letters(system):
     return "".join(base_sum(system).words())
 
 
+def _decoded_powers(p, letters, system):
+    """The steps of a pass that expects the zero polynomial at every step,
+    so that every nonzero step is decoded."""
+    return normal_powers(p, letters, repeat(NCPolynomial()), system)
+
+
 class TestPowerPass:
     def test_steps_are_normal_forms_of_the_products(self, reduce_randomly):
         # p s^n for a random p, against the products normalised one by one
@@ -514,7 +520,7 @@ class TestPowerPass:
                 NCPolynomial((w, qpow(i)) for i, w in enumerate(words)),
                 NCPolynomial(zip(_random_words(3, 5, seed=rng.randrange(1000)), mixed)),
             ):
-                steps = list(islice(normal_powers(p, _letters(system), system), 4))
+                steps = list(islice(_decoded_powers(p, _letters(system), system), 4))
                 assert steps[0] == normalize(p, system)
                 product = of_nc(p)
                 for n, step in enumerate(steps):
@@ -524,7 +530,7 @@ class TestPowerPass:
 
     def test_without_letters_only_the_first_step_is_nonzero(self):
         p = word_poly("acab")
-        steps = normal_powers(p, "", SYSTEM_A)
+        steps = _decoded_powers(p, "", SYSTEM_A)
         assert next(steps) == normalize(p, SYSTEM_A)
         assert next(steps) == NCPolynomial({})
 
@@ -545,7 +551,7 @@ class TestPowerPass:
         for system in (SYSTEM_A, SYSTEM_B):
             reduced.clear()
             s = base_sum(system)
-            steps = list(islice(normal_powers(s, _letters(system), system), 10))
+            steps = list(islice(_decoded_powers(s, _letters(system), system), 10))
             assert len(reduced) == len(set(reduced))
             products = [ref.nc_mul(of_nc(step), of_nc(s)) for step in steps[:-1]]
             assert len(reduced) < sum(len(product) for product in products)
@@ -568,7 +574,7 @@ class TestPowerPass:
             for word in _random_words(40, 8, seed=25):
                 normalize(word_poly(word), system)
             s = base_sum(system)
-            list(islice(normal_powers(s, _letters(system), system), 10))
+            list(islice(_decoded_powers(s, _letters(system), system), 10))
             assert seen
             for core in seen:
                 ranks = [system.rank[x] for x in core]
@@ -637,6 +643,95 @@ class TestPowerPass:
         assert normalize(p, SYSTEM_A) == p
 
 
+@pytest.fixture
+def lifts(monkeypatch):
+    """(k - value.k, packed or None) for each value packed for a comparison."""
+    seen = []
+    packed_over = ordering._packed_over
+
+    def recording(value, k, bits):
+        packed = packed_over(value, k, bits)
+        seen.append((k - value.k, packed))
+        return packed
+
+    monkeypatch.setattr(ordering, "_packed_over", recording)
+    return seen
+
+
+def _expected_powers(p, system, count, rng, reduce_randomly):
+    """The normal forms of p s^n for n < count, by the reference rewriting."""
+    product, out = of_nc(p), []
+    for _ in range(count):
+        out.append(reduce_randomly(to_nc(product), system, rng))
+        product = ref.nc_mul(product, of_nc(base_sum(system)))
+    return out
+
+
+class TestPackedComparison:
+    def test_pack_round_trips_at_the_64_bit_boundaries(self):
+        # array reads coefficients in [0, 2^63) as 64-bit words; others go
+        # one at a time, and one outside the width's digit range is refused
+        top = 1 << 63
+        for bits in (64, 72, 136):
+            half = 1 << (bits - 1)
+            inside = [(top - 1, 0, 7), (top - 1, -top), (-top, 5, top - 1), (1, -half)]
+            inside.append((half - 1,))
+            if bits > 64:
+                inside += [(top, 1), (2 * top - 1,), (2 * top, 3), (-top - 1, 2)]
+            for cs in inside:
+                packed = kronecker_pack(cs, bits)
+                assert packed == sum(c << (bits * i) for i, c in enumerate(cs))
+                assert kronecker_unpack(packed, bits) == cs
+            for cs in ((half,), (-half - 1,), (1, half, 2), (-half - 1, top - 1)):
+                with pytest.raises(OverflowError):
+                    kronecker_pack(cs, bits)
+
+    def test_a_step_that_differs_is_decoded(self):
+        s, letters = base_sum(SYSTEM_A), _letters(SYSTEM_A)
+        right = expand_formula(SYSTEM_A, 5)
+        terms = dict(right.items())
+        value = terms["bcaa"]
+        wrong = [
+            {**terms, "bcaa": to_rf(ref.frac_add(of_rf(value), ref.ONE))},
+            {w: c for w, c in terms.items() if w != "bcaa"},  # a missing word
+            {**terms, "cccc": RF_ONE},  # an extra word
+            # as many words, one of them in place of another
+            {**{w: c for w, c in terms.items() if w != "bcaa"}, "cccc": value},
+            # over a higher power of 1 - q than the step's own
+            {**terms, "bcaa": to_rf(ref.frac_mul(of_rf(value), ref.frac((1,), 1)))},
+        ]
+        for want in map(NCPolynomial, wrong):
+            expected = [*islice(_decoded_powers(s, letters, SYSTEM_A), 4), want]
+            step = list(normal_powers(s, letters, expected, SYSTEM_A))[-1]
+            assert step is not want and step == right
+
+    def test_a_step_over_a_higher_power_is_lifted(self, lifts, reduce_randomly):
+        # ac -> q^2 ca + xi bb, so the bb of ac - 2q/(1-q) bb is
+        # (q^2 - q)/(1-q): the pass holds it over (1-q)^1, the canonical
+        # value -q over (1-q)^0
+        p = NCPolynomial({"ac": RF_ONE, "bb": over_one_minus_q((0, -2), 1)})
+        rng = random.Random(30)
+        expected = _expected_powers(p, SYSTEM_B, 4, rng, reduce_randomly)
+        steps = list(normal_powers(p, _letters(SYSTEM_B), expected, SYSTEM_B))
+        assert all(step is want for step, want in zip(steps, expected))
+        assert expected[0] == NCPolynomial({"ca": qpow(2), "bb": to_rf(((0, -1), 0))})
+        assert any(d > 0 and packed is not None for d, packed in lifts)
+
+    def test_an_undecided_lift_is_decoded(self, lifts, reduce_randomly):
+        # ba gets 2^60 (1 - q^8)/(1-q): bound 2^61 over (1-q)^1 in the pass,
+        # while the canonical 2^60 [8] lifted by 1 - q has bound 2^64 > 2^63
+        c = 1 << 60
+        ab, ba = over_one_minus_q((0,) * 7 + (-c,), 1), over_one_minus_q((c,), 1)
+        p = NCPolynomial({"ab": ab, "ba": ba})
+        rng = random.Random(31)
+        expected = _expected_powers(p, SYSTEM_A_C0, 3, rng, reduce_randomly)
+        assert expected[0] == NCPolynomial({"ba": to_rf(((c,) * 8, 0))})
+        steps = list(normal_powers(p, _letters(SYSTEM_A_C0), expected, SYSTEM_A_C0))
+        assert steps[0] is not expected[0]
+        assert steps == expected
+        assert lifts[0] == (1, None)
+
+
 def _mirror(word, swap):
     """The word reversed, with the two letters of ``swap`` exchanged."""
     return word.translate(str.maketrans(swap, swap[::-1]))[::-1]
@@ -684,7 +779,7 @@ class TestMirror:
         image = "abc".translate(str.maketrans(swap, swap[::-1]))
         assert _anti_automorphisms(system) == [image]
         s = base_sum(system)
-        for step in islice(normal_powers(s, _letters(system), system), n):
+        for step in islice(_decoded_powers(s, _letters(system), system), n):
             for word, coeff in step.items():
                 assert step.coefficient(_mirror(word, swap)) == coeff
 

@@ -254,6 +254,35 @@ class TestVerifyExpansions:
             for n in range(1, 7):
                 assert reports[n - 1].oracle_terms == expand_oracle(system, n)
 
+    def test_a_matching_step_is_the_formula_itself(self):
+        # the oracle proves each step equal in packed form and hands back
+        # the formula's polynomial, with nothing decoded
+        for system in SPECS:
+            for report in verify_expansions(system, 8):
+                assert report.match
+                assert report.oracle_terms is report.formula_terms
+
+    def test_coefficients_past_63_bits_compare_packed(self, monkeypatch):
+        # at n = 40, System A has coefficients of 64 bits and more, packed
+        # one at a time at W > 64 and proven equal; at n = 41 a planted
+        # coefficient of 2^200 fits no digit at that W, so no bound decides
+        # the step, and it is decoded
+        word, right = "b" * 20 + "a" * 21, theta_a(20, 0, 21)
+        wrong = to_rf(ref.frac_add(of_rf(right), ((1 << 200,), 0)))
+        walk = verify._walk
+
+        def planted(system, n):
+            for w, c in walk(system, n):
+                yield w, wrong if (n, w) == (41, word) else c
+
+        monkeypatch.setattr(verify, "_walk", planted)
+        reports = verify_expansions(SYSTEM_A, 41)
+        values = (v for _, v in reports[39].formula_terms.items())
+        assert max(abs(c) for v in values for c in v.num.coeffs) >= 1 << 63
+        assert all(r.oracle_terms is r.formula_terms for r in reports[:40])
+        assert reports[40].mismatches == (Mismatch(word, wrong, right),)
+        assert reports[40].oracle_terms == expand_oracle(SYSTEM_A, 41)
+
     def test_oracle_output_is_pinned(self):
         # digests of the serialised expansions, computed before the rewrite
         # engine began to reduce each word core once per pass; every
@@ -385,6 +414,20 @@ class TestVerifyDegenerations:
         assert three.coefficient("bba") == rf((1, 1, 1))
 
 
+def _plant(monkeypatch, system, n, change):
+    """From now on the formula route of ``system`` at degree n gives its
+    terms after ``change``, called on a dict from word to value."""
+    walk = verify._walk
+
+    def planted(s, m):
+        terms = dict(walk(s, m))
+        if (s, m) == (system, n):
+            change(terms)
+        return iter(terms.items())
+
+    monkeypatch.setattr(verify, "_walk", planted)
+
+
 class TestSuitesCanFail:
     """One wrong value injected into each suite shows as exactly one failure."""
 
@@ -407,6 +450,31 @@ class TestSuitesCanFail:
         assert [r.n for r in reports if not r.match] == [5]
         assert reports[4].mismatches == (Mismatch("bbca", plus_one(right), right),)
         assert reports[4].formula_terms.coefficient("bcaa") == right
+
+    def test_lemma_reports_a_missing_word(self, monkeypatch):
+        right = theta_a(1, 1, 1)
+        _plant(monkeypatch, SYSTEM_A, 4, lambda terms: terms.pop("bca"))
+        reports = verify_expansions(SYSTEM_A, 6)
+        assert [r.n for r in reports if not r.match] == [4]
+        assert reports[3].mismatches == (Mismatch("bca", RF_ZERO, right),)
+        assert reports[3].oracle_terms.coefficient("bca") == right
+
+    def test_lemma_reports_an_extra_word(self, monkeypatch):
+        value = rf((1, 1))
+        _plant(monkeypatch, SYSTEM_B, 3, lambda terms: terms.update(cccc=value))
+        reports = verify_expansions(SYSTEM_B, 5)
+        assert [r.n for r in reports if not r.match] == [3]
+        assert reports[2].mismatches == (Mismatch("cccc", value, RF_ZERO),)
+        assert reports[2].oracle_terms == expand_oracle(SYSTEM_B, 3)
+
+    def test_a_mismatch_holds_the_decoded_oracle_values(self, wrong_formula_term):
+        wrong_formula_term(SYSTEM_B, "cba")
+        report = verify_expansions(SYSTEM_B, 3)[2]
+        assert report.oracle_terms is not report.formula_terms
+        assert report.oracle_terms == expand_oracle(SYSTEM_B, 3)
+        assert report.mismatches == (
+            Mismatch("cba", plus_one(theta_b(1, 1, 1)), theta_b(1, 1, 1)),
+        )
 
     def test_degenerations_count_one_wrong_binomial(self, wrong_formula_term):
         wrong_formula_term(SYSTEM_A_C0, "bbaaaa")  # [6, 2]
