@@ -63,16 +63,17 @@ The engine computes in Z[q, 1/(1-q)], the ring of every
 :class:`~qexpand.exactarith.RationalFunction`, and packs each coefficient
 num/(1-q)^k by Kronecker substitution as a record (N, k, b): the integer
 N = num(2^W), the exponent k, and a bound b >= ||num||_1, the sum of the
-sizes of the coefficients of num.  Since q -> 2^W is a ring map from
-Z[q] to the integers, a product of numerators is one product of
+sizes of the coefficients of num.  The rules, the pass's input and every
+step are packed values of this one form.  Since q -> 2^W is a ring map
+from Z[q] to the integers, a product of numerators is one product of
 integers, a sum one sum, and q^m a shift by mW bits; products multiply
 the bounds and sums add them.  Two values over different powers of 1 - q
 are added over the higher: the numerator over the lower power is
-multiplied by (1-q)^d, whose 1-norm is 2^d, so its bound is multiplied
-by 2^d.  A reduced core term is stored as q^m R with R(0) != 0, so a
-monomial factor costs a shift, and is tagged when R is a q-integer
-[a] = 1 + q + ... + q^(a-1), the factor of every core of the built-in
-systems: a product by [a] is O(log a) shifts and sums.  Every
+multiplied by (1-q)^d (:func:`_lift`), whose 1-norm is 2^d, so its bound
+is multiplied by 2^d.  A reduced core term is stored as q^m R with
+R(0) != 0, so a monomial factor costs a shift, and is tagged when R is a
+q-integer [a] = 1 + q + ... + q^(a-1), the factor of every core of the
+built-in systems: a product by [a] is O(log a) shifts and sums.  Every
 coefficient of num is at most ||num||_1 in size, so while b < 2^(W-1)
 the balanced base-2^W digits of N are exactly the coefficients of num
 (see :func:`kronecker_unpack`), and N = 0 exactly when num = 0.  So
@@ -85,11 +86,13 @@ check: each value of a step, and of the sum that ends a core's
 reduction, is tested for zero only after its bound is checked, which
 covers every partial sum because bounds only grow as terms are added.
 When a bound reaches 2^(W-1), the engine raises an internal overflow,
-re-spaces the step's input and the core table to a wider W (each value's
-digits copied by :func:`kronecker_respace`, with no decode) and redoes
-the step.  Cores finished before the overflow stay in the table, so only
-the reductions then in progress are redone.  The bounds do not depend on
-W, so the redone work checks against the same bounds.
+re-spaces the step's input, the rules and the core table to a wider W
+(each value's digits copied by :func:`kronecker_respace`, with no decode)
+and redoes the step.  A rule or input coefficient too wide for W is
+packed after the same widening, which re-spaces the values packed before
+it.  Cores finished before the overflow stay in the table, so only the
+reductions then in progress are redone.  The bounds do not depend on W,
+so the redone work checks against the same bounds.
 
 :func:`normal_powers` takes the polynomial each step is expected to be,
 and compares the step with it in packed form, word by word, with no
@@ -100,21 +103,20 @@ the least power of 1/(1-q) it can be written over.  If k < k_f, the
 values differ, for equality would make num_f = num (1-q)^(k_f-k) vanish
 at q = 1.  If k >= k_f, they are equal exactly when num = num_f (1-q)^d
 with d = k - k_f.  The right side is packed at the step's W and lifted
-by one shift-subtraction per power of 1 - q, as in :func:`_add`, and its
-bound is ||num_f||_1 2^d.  When that bound is below 2^(W-1), both N and
-the lifted integer are packings of polynomials whose coefficients are
-balanced base-2^W digits (b < 2^(W-1) holds for every value of a step),
-and packing is injective on those, so the integers are equal exactly
-when the values are.  For d = 0 the bound is not needed:
-:func:`kronecker_pack` returns a value only when every coefficient of
-num_f is such a digit.  When the lift's bound reaches 2^(W-1), or the
-pack refuses a coefficient, no bound decides the word, and the step is
-decoded, like every step that differs; the caller compares decoded steps
-word by word, so every mismatch it reports holds decoded values.  A step
-proved equal is handed back as the expected polynomial itself.  Each
-distinct value object of the expected polynomial is packed once per
-power of 1 - q that the step asks of it, so a word and its mirror, which
-share one object, cost one pack.
+by :func:`_lift`, as in :func:`_add`, and its bound is ||num_f||_1 2^d.
+When that bound is below 2^(W-1), both N and the lifted integer are
+packings of polynomials whose coefficients are balanced base-2^W digits
+(b < 2^(W-1) holds for every value of a step), and packing is injective
+on those, so the integers are equal exactly when the values are.  For
+d = 0 the bound is not needed: :func:`kronecker_pack` returns a value
+only when every coefficient of num_f is such a digit.  When the lift's
+bound reaches 2^(W-1), or the pack refuses a coefficient, no bound
+decides the word, and the step is decoded, like every step that differs;
+the caller compares decoded steps word by word, so every mismatch it
+reports holds decoded values.  A step proved equal is handed back as the
+expected polynomial itself.  Each distinct value object of the expected
+polynomial is packed once per power of 1 - q that the step asks of it,
+so a word and its mirror, which share one object, cost one pack.
 
 This module is the only one that packs (Kronecker substitution: von zur
 Gathen and Gerhard, *Modern Computer Algebra*, section 8.4), with one
@@ -218,9 +220,8 @@ class RelationSystem:
                 )
 
     def _check_overlap(self, word: str) -> None:
-        rules = {pattern: r.items() for pattern, r in self.rules.items()}
-        via_left = normalize(NCPolynomial(_apply_at(word, 0, rules)), self)
-        if via_left != normalize(NCPolynomial(_apply_at(word, 1, rules)), self):
+        via_left = normalize(NCPolynomial(_apply_at(word, 0, self.rules)), self)
+        if via_left != normalize(NCPolynomial(_apply_at(word, 1, self.rules)), self):
             raise ValueError(
                 f"overlap {word!r} has two normal forms in system {self.name}"
             )
@@ -235,11 +236,10 @@ def is_normal(word: str, system: RelationSystem) -> bool:
     return all(rank[x] <= rank[y] for x, y in zip(word, word[1:]))
 
 
-def _apply_at(word: str, i: int, rules: dict) -> list:
-    """The (word, factor) terms of one rewrite of the pair at index i, where
-    ``rules`` maps each pattern to its replacement's (word, factor) terms."""
+def _apply_at(word: str, i: int, rules: dict[str, NCPolynomial]) -> list:
+    """The (word, coefficient) terms of one rewrite of the pair at index i."""
     prefix, suffix = word[:i], word[i + 2 :]
-    return [(prefix + w + suffix, f) for w, f in rules[word[i : i + 2]]]
+    return [(prefix + w + suffix, c) for w, c in rules[word[i : i + 2]].items()]
 
 
 def _bias(count: int, bits: int) -> int:
@@ -340,9 +340,9 @@ def kronecker_unpack(value: int, bits: int) -> tuple[int, ...]:
 
 
 # A packed value (N, k, b) stands for num/(1-q)^k with N = num(2^W) and
-# b >= ||num||_1; a packed factor (mW, R, k, b) for q^m R/(1-q)^k alike.
-# A stored core factor (mW, R, k, b, a) also has a tag a, with a > 0
-# exactly when R is the q-integer [a] = 1 + q + ... + q^(a-1).
+# b >= ||num||_1; a stored core factor (mW, R, k, b, a) for q^m R/(1-q)^k
+# alike, with a tag a > 0 exactly when R is the q-integer
+# [a] = 1 + q + ... + q^(a-1).
 _START_BITS = 64
 
 
@@ -355,11 +355,13 @@ class _Overflow(Exception):
         self.bound = bound
 
 
-def _factor(value: RationalFunction, bits: int) -> tuple[int, int, int, int]:
-    """The packed factor of a nonzero value of Z[q, 1/(1-q)]."""
-    cs, k = value.num.coeffs, value.k
-    m = next(i for i, c in enumerate(cs) if c)
-    return m * bits, kronecker_pack(cs[m:], bits), k, sum(map(abs, cs))
+def _lift(n: int, d: int, bits: int) -> int:
+    """The packed numerator n multiplied by (1-q)^d at width W = ``bits``,
+    one shift-subtraction per power; (1-q)^d has 1-norm 2^d, so a bound of
+    n times 2^d bounds the product."""
+    for _ in range(d):
+        n -= n << bits
+    return n
 
 
 def _add(terms: dict, word: str, n: int, k: int, b: int, bits: int) -> None:
@@ -371,43 +373,39 @@ def _add(terms: dict, word: str, n: int, k: int, b: int, bits: int) -> None:
         if k0 < k:
             n0, k0, b0, n, k, b = n, k, b, n0, k0, b0
         if k0 > k:
-            for _ in range(k0 - k):
-                n -= n << bits  # times 1 - q
-            b <<= k0 - k
+            n, b = _lift(n, k0 - k, bits), b << k0 - k
         n, k, b = n0 + n, k0, b0 + b
     terms[word] = (n, k, b)
 
 
+def _respaced(terms: dict, old: int, new: int) -> dict:
+    """The packed values ``terms`` moved from width ``old`` to ``new``."""
+    return {w: (kronecker_respace(n, old, new), k, b) for w, (n, k, b) in terms.items()}
+
+
 class _Cores:
     """The packed rules of one system and its table of core reductions, at
-    one width W = ``bits``; one instance serves one :func:`_power_pass`."""
+    one width W = ``bits``; one instance serves one :func:`_power_pass`.
+    Each rule is the packed values of its replacement's words, values of
+    the same form as a step's terms, and is re-spaced with them."""
 
     def __init__(self, system: RelationSystem):
         self.system = system
-        self.bits = 0
+        self.bits = _START_BITS
         self.table: dict[str, list] = {}
-        rule_bound = max(
-            (
-                sum(map(abs, c.num.coeffs))
-                for replacement in system.rules.values()
-                for _, c in replacement.items()
-            ),
-            default=1,  # every rule maps to 0: any width fits
-        )
-        # the first width fits the rules; there is nothing else to re-encode
-        self.widen(rule_bound, {})
+        self.rules: dict[str, dict] = {}
+        for pattern, replacement in system.rules.items():
+            # pack may widen, which replaces self.rules: look it up after
+            self.rules[pattern] = self.pack(replacement)
 
     def widen(self, bound: int, terms: dict) -> dict:
         """Move to a width at least ``_START_BITS`` whose 2^(W-1) exceeds
-        ``bound`` by a margin: re-encode the rules, the table and the packed
+        ``bound`` by a margin: re-space the rules, the table and the packed
         values ``terms``, and return the new terms."""
         old = self.bits
         need = bound.bit_length() + 1
         self.bits = bits = max(_START_BITS, 8 * ((need + need // 8) // 8 + 1))
-        self.rules = {
-            pattern: [(w, _factor(c, bits)) for w, c in replacement.items()]
-            for pattern, replacement in self.system.rules.items()
-        }
+        self.rules = {p: _respaced(r, old, bits) for p, r in self.rules.items()}
         self.table = {
             core: [
                 (w, (shift // old * bits, kronecker_respace(r, old, bits), k, b, a))
@@ -415,9 +413,7 @@ class _Cores:
             ]
             for core, reduced in self.table.items()
         }
-        return {
-            w: (kronecker_respace(n, old, bits), k, b) for w, (n, k, b) in terms.items()
-        }
+        return _respaced(terms, old, bits)
 
     def pack(self, p: NCPolynomial) -> dict:
         """The packed values of the terms of p, widening first if one of
@@ -527,9 +523,8 @@ def _reduce_word(word: str, cores: _Cores) -> Generator[str, None, list]:
     """The normal form of a core u y x, with u y normal and rank(y) >
     rank(x), as (normal word, packed factor) terms: the pair yx is
     rewritten once, and each word it produces is inserted after u."""
-    bits, i = cores.bits, len(word) - 2
-    produced = _apply_at(word, i, cores.rules)
-    items = [(word[:i], (r << shift, k, b), w[i:]) for w, (shift, r, k, b) in produced]
+    bits, u = cores.bits, word[:-2]
+    items = [(u, value, w) for w, value in cores.rules[word[-2:]].items()]
     total = yield from _insert(items, cores)
     reduced = []
     for w, (n, k, b) in total.items():
@@ -599,8 +594,7 @@ def _packed_over(value: RationalFunction, k: int, bits: int) -> Optional[int]:
     ``bits`` under a bound below 2^(W-1); None when k is below the power of
     the canonical ``value``, so that no such numerator exists, or when no
     bound decides.  Over a power d higher, the numerator is multiplied by
-    (1-q)^d, one shift-subtraction per power as in :func:`_add`, with its
-    bound ||num||_1 2^d."""
+    (1-q)^d by :func:`_lift`, with its bound ||num||_1 2^d."""
     cs, d = value.num.coeffs, k - value.k
     if d < 0 or (d and sum(map(abs, cs)) << d >> (bits - 1)):
         return None
@@ -608,9 +602,7 @@ def _packed_over(value: RationalFunction, k: int, bits: int) -> Optional[int]:
         n = kronecker_pack(cs, bits)
     except OverflowError:
         return None
-    for _ in range(d):
-        n -= n << bits
-    return n
+    return _lift(n, d, bits)
 
 
 def _proven_equal(terms: dict, bits: int, expected: NCPolynomial) -> bool:

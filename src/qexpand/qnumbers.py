@@ -49,10 +49,7 @@ def q_int(n: int, power: int = 1) -> IntPolynomial:
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_base(power)
-    coeffs = [0] * ((n - 1) * power + 1) if n else []
-    for k in range(n):
-        coeffs[k * power] = 1
-    return IntPolynomial(tuple(coeffs))
+    return IntPolynomial._raw(times_q_int(ONE.coeffs, n, power))
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import time
 from itertools import chain, count, tee, zip_longest
-from operator import sub
+from operator import index, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .exactarith import (
@@ -392,8 +392,9 @@ def verify_identity_4i2(max_i: int) -> VerificationSummary:
 def eval_at_root(
     p: NCPolynomial, order: int, sign: str = "+"
 ) -> list[tuple[str, complex]]:
-    """Evaluate every coefficient at q = sign * exp(2*pi*i/order)."""
-    if order < 3:
+    """Evaluate every coefficient at q = sign * exp(2*pi*i/order), for an
+    integer order; TypeError for any other, which names no root of unity."""
+    if index(order) < 3:
         raise ValueError("N must be >= 3")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")

@@ -17,6 +17,7 @@ from qexpand import exactarith, freealgebra
 
 PACKAGE = os.path.dirname(qexpand.__file__)
 TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS)
 
 # operators no route reached; the tests build their values in reference.py,
 # and read the JSON output with it
@@ -145,3 +146,21 @@ def test_k_is_read_from_the_value_not_from_its_denominator():
         if filename.endswith(".py"):
             with open(os.path.join(PACKAGE, filename)) as source:
                 assert ".den.degree" not in source.read(), filename
+
+
+def _python_files(*tops):
+    for top in tops:
+        for folder, _, filenames in os.walk(os.path.join(ROOT, top)):
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    yield os.path.join(folder, filename)
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # requires-python is >=3.10; this checks the syntax (no except* or type
+    # alias statement, say), not the library calls
+    paths = list(_python_files("src", "tests", "bench"))
+    assert os.path.join(PACKAGE, "ordering.py") in paths
+    for path in paths:
+        with open(path) as source:
+            ast.parse(source.read(), path, feature_version=(3, 10))

@@ -309,15 +309,27 @@ def _lowering_system():
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The width W after each widening of any ``_Cores`` from now on."""
-    seen = []
-    widen = ordering._Cores.widen
+    """The width W that any ``_Cores`` from now on starts at, and the width
+    after each of its widenings, in order."""
+    seen, started = [], set()
+    init, widen = ordering._Cores.__init__, ordering._Cores.widen
+
+    def start(cores):
+        if cores not in started:
+            started.add(cores)
+            seen.append(cores.bits)
+
+    def recording_init(cores, system):
+        init(cores, system)
+        start(cores)
 
     def recording(cores, bound, terms):
+        start(cores)  # packing the rules can widen before __init__ returns
         rewidened = widen(cores, bound, terms)
         seen.append(cores.bits)
         return rewidened
 
+    monkeypatch.setattr(ordering._Cores, "__init__", recording_init)
     monkeypatch.setattr(ordering._Cores, "widen", recording)
     return seen
 
@@ -360,19 +372,23 @@ class TestNormalizeProperties:
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
     def test_each_word_is_rewritten_once(self, monkeypatch):
-        seen = []
-        apply_at = ordering._apply_at
+        # each core is rewritten by one _reduce_word, and the table serves
+        # every later need of it within the pass
+        seen, rewrites = [], 0
+        reduce_word = ordering._reduce_word
 
-        def recording(word, i, system):
+        def recording(word, cores):
             seen.append(word)
-            return apply_at(word, i, system)
+            return (yield from reduce_word(word, cores))
 
-        monkeypatch.setattr(ordering, "_apply_at", recording)
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
         for word in _random_words(100, 8, seed=15):
             for system in SYSTEMS.values():
                 seen.clear()
                 normalize(word_poly(word), system)
                 assert len(seen) == len(set(seen))
+                rewrites += len(seen)
+        assert rewrites
 
     def test_inert_prefix_and_suffix(self, reduce_randomly):
         # a run of the rank-0 letter on the left and of the top-rank letter
@@ -471,6 +487,26 @@ class TestNormalizeProperties:
         cube = RationalFunction(P(ref.power((2**40, 1), 3)))
         assert result == NCPolynomial({"baaa": cube})
         assert result == reduce_randomly(word_poly("aaab"), system, random.Random(19))
+
+    def test_wide_rule_coefficient_widens_the_packed_rules(
+        self, widths, reduce_randomly
+    ):
+        # ab -> (2^70 + q) ba, packed last, does not fit 64 bits: packing it
+        # widens and re-spaces the rules ac and cb packed before it
+        big = RationalFunction(P((2**70, 1)))
+        rules = {p: r for p, r in SYSTEM_A_C0.rules.items() if p != "ab"}
+        rules["ab"] = NCPolynomial({"ba": big})
+        system = RelationSystem("wide rule", "bca", rules)
+        assert list(system.rules)[-1] == "ab"
+        widths.clear()
+        assert normalize(word_poly("ab"), system) == NCPolynomial({"ba": big})
+        # the start, then the widening made by packing the rules
+        assert widths[0] == 64
+        assert widths[1] > 72
+        rng = random.Random(29)
+        for word in ["acb", "cbacab"] + _random_words(60, 7, seed=29):
+            p = word_poly(word)
+            assert normalize(p, system) == reduce_randomly(p, system, rng)
 
     def test_wide_input_coefficient_is_packed_wider(self, widths, reduce_randomly):
         # the coefficient 2^70 + q alone does not fit 64 bits

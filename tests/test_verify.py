@@ -590,6 +590,12 @@ class TestEvalAtRoot:
         with pytest.raises(ValueError, match="N must be >= 3"):
             eval_at_root(NCPolynomial({"": RF_ONE}), 2)
 
+    def test_rejects_an_order_that_is_no_integer(self):
+        # exp(2 pi i / 3.5) is no root of unity
+        for order in (3.5, 4.0, "5"):
+            with pytest.raises(TypeError):
+                eval_at_root(NCPolynomial({"": RF_ONE}), order)
+
     def test_formula_matches_oracle_numerically(self):
         q0 = cmath.exp(2j * cmath.pi * 0.2371)
         for system in (SYSTEM_A, SYSTEM_B):
