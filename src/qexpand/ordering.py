@@ -59,6 +59,25 @@ no table outlives its pass.
 :func:`normalize` is the first step of a pass with no letters.  This
 module is the whole oracle route: no other module sees a packed value.
 
+The grade of a word is g(w) = count(first) - count(last), for the first
+and last letters of the normal order, and tau reverses a word and swaps
+those two letters.  tau maps g to -g and reverses the normal order, so it
+maps normal words to normal words, and it is an anti-automorphism of the
+free algebra: tau(u v) = tau(v) tau(u).  A system has a mirror when tau
+maps each rule to a rule with an equal coefficient and every rule keeps
+the grade; the four built-in systems have one, derived and checked when
+each is built.  Then tau maps the ideal of the rules to itself, so by
+unique normal forms normalize(tau(p)) = tau(normalize(p)), and the normal
+form of a word w x has only words of grade g(w) + g(x).  A pass of c s,
+for one coefficient c and s the sum of distinct letters closed under tau,
+has tau-invariant steps c s^(n+1).  So each of its steps after the first
+is a half step: it multiplies only the pairs (w, x) with g(w) + g(x) <= 0,
+and gives each word of grade > 0 the packed value of its mirror, whose
+grade is below 0.  A tau-invariant input is not enough: tau(p s^n) =
+s^n tau(p), which is p s^n only when p commutes with s, and the inputs c
+and ab + ba of System A are tau-invariant while their steps are not.
+Every other pass takes full steps.
+
 The engine computes in Z[q, 1/(1-q)], the ring of every
 :class:`~qexpand.exactarith.RationalFunction`, and packs each coefficient
 num/(1-q)^k by Kronecker substitution as a record (N, k, b): the integer
@@ -78,13 +97,12 @@ coefficient of num is at most ||num||_1 in size, so while b < 2^(W-1)
 the balanced base-2^W digits of N are exactly the coefficients of num
 (see :func:`kronecker_unpack`), and N = 0 exactly when num = 0.  So
 (N, k) fixes the value, and a step is decoded once per distinct pair, its
-words sharing one value object: in the built-in systems a word and its
-mirror (the word reversed, with the first and last letters of the normal
-order swapped) have equal values, so about half of a step's values
-repeat.  Every decode and every zero test is made only under that
-check: each value of a step, and of the sum that ends a core's
-reduction, is tested for zero only after its bound is checked, which
-covers every partial sum because bounds only grow as terms are added.
+words sharing one value object: in a half step a word and its mirror
+hold one packed value, so about half of a step's values repeat.  Every
+decode and every zero test is made only under that check: each value of
+a step, and of the sum that ends a core's reduction, is tested for zero
+only after its bound is checked, which covers every partial sum because
+bounds only grow as terms are added.
 When a bound reaches 2^(W-1), the engine raises an internal overflow,
 re-spaces the step's input, the rules and the core table to a wider W
 (each value's digits copied by :func:`kronecker_respace`, with no decode)
@@ -134,7 +152,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import lt, sub
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .exactarith import (
@@ -179,6 +198,7 @@ class RelationSystem:
             )
         # letter x -> the letters inert before a core ending in x
         self._inert = {x: self._inert_letters(x) for x in normal_order}
+        self.mirror = self._mirror_swap()
         for xy in self.rules:
             for yz in self.rules:
                 if xy[1] == yz[0]:
@@ -204,6 +224,29 @@ class RelationSystem:
         while (low := min([r for p, r in brought if p >= t], default=t)) < t:
             t = low
         return self.normal_order[: t + 1]
+
+    def grade(self, word: str) -> int:
+        """g(w): the count of the first letter of the normal order in the
+        word, less the count of its last letter."""
+        return word.count(self.normal_order[0]) - word.count(self.normal_order[-1])
+
+    def _mirror_swap(self) -> Optional[dict]:
+        """The ``str.translate`` table that swaps the first and last letters
+        of the normal order, when tau (that swap, then the word reversed) maps
+        every rule to a rule with an equal coefficient and every rule keeps
+        the grade g; otherwise None.  The swap reverses the normal order, so
+        tau maps normal words to normal words."""
+        first, last = self.normal_order[0], self.normal_order[-1]
+        swap = str.maketrans(first + last, last + first)
+        for pattern, replacement in self.rules.items():
+            image = NCPolynomial(
+                (w.translate(swap)[::-1], c) for w, c in replacement.items()
+            )
+            if self.rules.get(pattern.translate(swap)[::-1]) != image or any(
+                self.grade(w) != self.grade(pattern) for w, _ in replacement.items()
+            ):
+                return None
+        return swap
 
     def _check_rule(self, pattern: str, replacement: NCPolynomial) -> None:
         parse_word(pattern)
@@ -465,25 +508,30 @@ def _decode(terms: dict, bits: int) -> NCPolynomial:
 
 
 def _normalize_step(
-    terms: dict, letters: str, cores: _Cores
+    pairs: Iterable[tuple], cores: _Cores
 ) -> Generator[str, None, dict]:
-    """The packed normal form of the sum of terms[w] * w x over the normal
-    words w of the packed values ``terms`` and the letters x, zero terms
-    dropped; _Overflow when a bound reaches 2^(W-1).  A word w x whose
-    last pair is in order is normal, so its value carries over; otherwise
-    the prefix of w ranked at most t(x) is inert (see
+    """The packed normal form of the sum of v * w x over the triples (w, v,
+    xs) of ``pairs``, w a normal word, v a packed value and x each letter
+    of xs, zero terms dropped; _Overflow when a bound reaches 2^(W-1).  A
+    word w x whose last pair is in order is normal, so its value carries
+    over; otherwise the prefix of w ranked at most t(x) is inert (see
     :meth:`RelationSystem._inert_letters`) and the rest of w x is a core.
     The letters ranked at least t(x) are closed under the rules, so every
     word that a rewrite of the core reaches keeps them and stays in order
     after the prefix, and by unique normal forms normalize(P core) =
     P normalize(core).
 
+    Every rule of a system with a mirror keeps the grade g, so the normal
+    form of w x has only words of grade g(w) + g(x): a half step of
+    :func:`_power_pass` leaves out each pair whose words it copies from
+    their mirrors, and its words of grade <= 0 are still exact.
+
     A generator for :meth:`_Cores.run`: it yields each core that the table
     lacks, resumes once that core is stored, and returns the normal form."""
     rank, inert = cores.system.rank, cores.system._inert
     table, bits = cores.table, cores.bits
     total: dict = {}
-    for word, (n, k, b) in terms.items():
+    for word, (n, k, b), letters in pairs:
         for x in letters:
             if not word or rank[word[-1]] <= rank[x]:
                 _add(total, word + x, n, k, b, bits)
@@ -513,7 +561,8 @@ def _insert(items: Iterable[tuple], cores: _Cores) -> Generator[str, None, dict]
     for u, value, x in items:
         terms = {u: value}
         for letter in x:
-            terms = yield from _normalize_step(terms, letter, cores)
+            pairs = zip(terms, terms.values(), repeat(letter))
+            terms = yield from _normalize_step(pairs, cores)
         for w, (n, k, b) in terms.items():
             _add(total, w, n, k, b, bits)
     return _checked(total, bits)
@@ -565,6 +614,63 @@ def _checked(terms: dict, bits: int) -> dict:
     return out
 
 
+def _half_step(p: NCPolynomial, letters: str, system: RelationSystem) -> bool:
+    """True when every step of the pass of p is tau-invariant, so that its
+    words of grade > 0 may be copied from their mirrors: the system has a
+    mirror, the letters are distinct and closed under it, and p is c s for
+    one coefficient c, s the sum of the letters.
+
+    tau is an anti-automorphism: tau(p s^n) = tau(s)^n tau(p).  With
+    tau(s) = s that is s^n tau(p), which equals p s^n when p commutes with
+    s, not whenever tau(p) = p.  A tau-invariant p such as c or ab + ba in
+    System A gives steps that are not tau-symmetric, so this guard asks for
+    c s itself: c s^(n+1) is tau-invariant, and tau maps each rule to a
+    rule and normal words to normal words, so by unique normal forms the
+    normal form of c s^(n+1) is tau-invariant too."""
+    swap = system.mirror
+    return (
+        swap is not None
+        and sorted(p.words()) == sorted(letters)
+        and set(letters.translate(swap)) == set(letters)
+        and len({c for _, c in p.items()}) <= 1
+    )
+
+
+def _step_pairs(
+    terms: dict, letters: str, system: RelationSystem, half: bool
+) -> Iterable[tuple]:
+    """The triples (w, v, xs) of a step of :func:`_power_pass` for
+    :func:`_normalize_step`: each word w of ``terms``, its value and the
+    letters to append to it, all of them in a full step, and in a half step
+    only each x with g(w) + g(x) <= 0.  The grade of a letter is -1, 0 or 1,
+    so a word of grade below -1 takes every letter and one above 1 none."""
+    if not half:
+        return zip(terms, terms.values(), repeat(letters))
+    grade, first, last = system.grade, system.normal_order[0], system.normal_order[-1]
+    taken = {g: [x for x in letters if g + grade(x) <= 0] for g in (-1, 0, 1)}
+    top = max(map(len, terms), default=0)
+    taken.update(dict.fromkeys(range(-top, -1), letters))
+    taken.update(dict.fromkeys(range(2, top + 1), ()))
+    grades = map(
+        sub, map(str.count, terms, repeat(first)), map(str.count, terms, repeat(last))
+    )
+    return zip(terms, terms.values(), map(taken.__getitem__, grades))
+
+
+def _mirror_filled(terms: dict, system: RelationSystem) -> dict:
+    """``terms`` with each word of grade < 0 giving its packed value to its
+    mirror tau(w), the word reversed with the first and last letters of the
+    normal order swapped, whose grade is -g(w) > 0."""
+    swap, first, last = system.mirror, system.normal_order[0], system.normal_order[-1]
+    negative = map(
+        lt, map(str.count, terms, repeat(first)), map(str.count, terms, repeat(last))
+    )
+    terms.update(
+        [(w.translate(swap)[::-1], v) for w, v in compress(terms.items(), negative)]
+    )
+    return terms
+
+
 def _power_pass(
     p: NCPolynomial, letters: str, system: RelationSystem
 ) -> Iterator[tuple[dict, int]]:
@@ -572,19 +678,30 @@ def _power_pass(
     sum of the letters: the first step inserts each word of p letter by
     letter after the empty word, and each later one appends every letter to
     every word of the last.  A step that overflows is redone on its input
-    re-encoded wider."""
+    re-encoded wider.
+
+    When :func:`_half_step` shows every step tau-invariant, each step after
+    the first is a half step: it computes only the words of grade <= 0, and
+    each word of grade > 0 takes the packed value of its mirror.  tau maps
+    g to -g, so every word of grade > 0 has its mirror among the words
+    computed, and a mirror that is absent is zero.  The copy is made after
+    the step's values are checked, so a redone step copies again at its
+    new width."""
     cores = _Cores(system)
+    half = _half_step(p, letters, system)
     terms, started = cores.pack(p), False
     while True:
         if started:
-            work = _normalize_step(terms, letters, cores)
+            pairs = _step_pairs(terms, letters, system, half)
+            work = _normalize_step(pairs, cores)
         else:
             work = _insert((("", v, w) for w, v in terms.items()), cores)
         try:
-            terms = cores.run(work)
+            step = cores.run(work)
         except _Overflow as err:
             terms = cores.widen(err.bound, terms)
             continue
+        terms = _mirror_filled(step, system) if started and half else step
         yield terms, cores.bits
         started = True
 

@@ -653,7 +653,7 @@ class TestPowerPass:
             return reduce_word(word, cores)
 
         monkeypatch.setattr(ordering, "_reduce_word", recording)
-        for system, n, count in ((SYSTEM_A, 24, 177), (SYSTEM_B, 11, 75)):
+        for system, n, count in ((SYSTEM_A, 24, 177), (SYSTEM_B, 11, 74)):
             reduced.clear()
             normal_power(base_sum(system), _letters(system), n - 1, system)
             assert len(reduced) == count
@@ -808,20 +808,125 @@ class TestMirror:
         ],
         ids=lambda v: getattr(v, "name", None),
     )
-    def test_the_mirror_is_a_theorem_of_the_rules(self, system, swap, n):
+    def test_the_mirror_is_a_theorem_of_the_rules(
+        self, system, swap, n, monkeypatch
+    ):
         # tau is an anti-automorphism of the algebra that fixes s and maps
         # normal words to normal words; normal forms are unique, so the
-        # normal form of s^n is tau-symmetric, with no formula involved
+        # normal form of s^n is tau-symmetric, with no formula involved.
+        # The steps checked are full steps, with the half step turned off,
+        # so that no word's value is a copy of its mirror's
         image = "abc".translate(str.maketrans(swap, swap[::-1]))
         assert _anti_automorphisms(system) == [image]
-        s = base_sum(system)
-        for step in islice(_decoded_powers(s, _letters(system), system), n):
+        s, letters = base_sum(system), _letters(system)
+        halved = list(islice(_decoded_powers(s, letters, system), n))
+        monkeypatch.setattr(ordering, "_half_step", lambda p, letters, system: False)
+        full = list(islice(_decoded_powers(s, letters, system), n))
+        for step in full:
             for word, coeff in step.items():
                 assert step.coefficient(_mirror(word, swap)) == coeff
+        assert halved == full
+
+    def test_each_system_derives_the_mirror_that_the_search_finds(self):
+        # the one candidate swaps the first and last letters of the normal
+        # order; the search tries all six letter permutations
+        for system in SYSTEMS.values():
+            assert ["abc".translate(system.mirror)] == _anti_automorphisms(system)
 
     def test_a_rule_without_its_mirror_image_leaves_no_mirror(self):
         # a <-> b would send ac -> ca + 2b to cb -> bc + 2a, which is not a rule
         assert _anti_automorphisms(_lowering_system()) == []
+        assert _lowering_system().mirror is None
+
+    def test_a_rule_that_changes_the_grade_leaves_no_mirror(self):
+        # tau maps each rule of this system to a rule, but ac -> ca + c
+        # takes grade -1 to grade 0
+        assert _anti_automorphisms(_regraded_system()) == ["bac"]
+        assert _regraded_system().mirror is None
+
+
+def _regraded_system():
+    """A confluent system that tau maps to itself, with rules ac -> ca + c
+    and cb -> bc + c that do not keep the grade count(b) - count(a)."""
+    return RelationSystem(
+        "regraded",
+        "bca",
+        {
+            "ab": NCPolynomial({"ba": RF_ONE}),
+            "ac": NCPolynomial({"ca": RF_ONE, "c": RF_ONE}),
+            "cb": NCPolynomial({"bc": RF_ONE, "c": RF_ONE}),
+        },
+    )
+
+
+def _recorded_fills(monkeypatch):
+    """The packed steps that a half step fills from their mirrors, one
+    entry per fill, from now on."""
+    fills = []
+    fill = ordering._mirror_filled
+
+    def recording(terms, system):
+        fills.append(terms)
+        return fill(terms, system)
+
+    monkeypatch.setattr(ordering, "_mirror_filled", recording)
+    return fills
+
+
+class TestHalfStep:
+    def test_invariant_inputs_that_are_not_multiples_of_s_step_in_full(
+        self, monkeypatch, reduce_randomly
+    ):
+        # tau(p s^n) = s^n tau(p): a tau-invariant p that does not commute
+        # with s has steps that are not tau-symmetric, so its pass must
+        # compute every word; so must a pass in a system with no mirror
+        fills = _recorded_fills(monkeypatch)
+        rng = random.Random(32)
+        for system, p, letters in (
+            (SYSTEM_A, word_poly("c"), "ab"),
+            (SYSTEM_A, NCPolynomial({"ab": RF_ONE, "ba": RF_ONE}), "ab"),
+            (SYSTEM_B, word_poly("b"), "abc"),
+            (SYSTEM_A, NCPolynomial({"a": RF_ONE, "b": qpow(1)}), "ab"),
+            (SYSTEM_A, NCPolynomial({"a": RF_ONE, "b": RF_ONE}), "aab"),
+            (_lowering_system(), NCPolynomial({"a": RF_ONE, "b": RF_ONE}), "ab"),
+            (_regraded_system(), NCPolynomial({"a": RF_ONE, "b": RF_ONE}), "ab"),
+        ):
+            s = NCPolynomial((x, RF_ONE) for x in letters)
+            product = of_nc(p)
+            for step in islice(_decoded_powers(p, letters, system), 6):
+                assert step == reduce_randomly(to_nc(product), system, rng)
+                product = ref.nc_mul(product, of_nc(s))
+        assert fills == []
+
+    def test_the_oracle_pass_multiplies_half_of_the_pairs(self, monkeypatch):
+        # the (word, letter) pairs that the steps of expand_oracle(A, 24)
+        # multiply: 2754 pairs in full, so a guard that refuses the sum of
+        # the letters shows here and not only in the benchmark
+        fills = _recorded_fills(monkeypatch)
+        counted = []
+        step_pairs = ordering._step_pairs
+
+        def recording(terms, letters, system, half):
+            pairs = list(step_pairs(terms, letters, system, half))
+            counted.append(sum(len(xs) for _, _, xs in pairs))
+            return pairs
+
+        monkeypatch.setattr(ordering, "_step_pairs", recording)
+        halved = expand_oracle(SYSTEM_A, 24)
+        assert (sum(counted), len(fills)) == (1455, 23)
+        counted.clear()
+        fills.clear()
+        monkeypatch.setattr(ordering, "_half_step", lambda p, letters, system: False)
+        assert expand_oracle(SYSTEM_A, 24) == halved
+        assert (sum(counted), len(fills)) == (2754, 0)
+
+    def test_a_redone_half_step_fills_at_its_new_width(self, monkeypatch, widths):
+        # the coefficients of (a+b)^40 need 91 bits: the steps that overflow
+        # are redone wider, and each fill copies the redone values
+        fills = _recorded_fills(monkeypatch)
+        s = base_sum(SYSTEM_A)
+        assert normal_power(s, "ab", 39, SYSTEM_A) == expand_formula(SYSTEM_A, 40)
+        assert len(widths) > 1 and len(fills) == 39
 
 
 def _packed_q_int(a, bits):
