@@ -54,8 +54,8 @@ normal forms, normalize(P·X) = P·normalize(X) for the core X = rest·x,
 and the engine reduces only the core.  One pass computes the
 normal forms of p, p s, p s^2, ... for a sum s of letters, with one table
 from each core to its reduction for all of its steps and for the
-insertions within each reduction, so each core is reduced once per pass;
-no table outlives its pass.
+insertions within each reduction, so each core is reduced once per pass
+at each width (below); no table outlives its pass.
 :func:`normalize` is the first step of a pass with no letters.  This
 module is the whole oracle route: no other module sees a packed value.
 
@@ -104,13 +104,15 @@ a step, and of the sum that ends a core's reduction, is tested for zero
 only after its bound is checked, which covers every partial sum because
 bounds only grow as terms are added.
 When a bound reaches 2^(W-1), the engine raises an internal overflow,
-re-spaces the step's input, the rules and the core table to a wider W
-(each value's digits copied by :func:`kronecker_respace`, with no decode)
-and redoes the step.  A rule or input coefficient too wide for W is
+re-spaces the step's input and the rules to a wider W (each value's
+digits copied by :func:`kronecker_respace`, with no decode), empties the
+core table and redoes the step, which reduces each core it needs again at
+the new width.  So the table holds the reductions of one width, and no
+stored reduction is re-spaced: many of those finished before an overflow
+are never read again.  A rule or input coefficient too wide for W is
 packed after the same widening, which re-spaces the values packed before
-it.  Cores finished before the overflow stay in the table, so only the
-reductions then in progress are redone.  The bounds do not depend on W,
-so the redone work checks against the same bounds.
+it.  The bounds do not depend on W, so the redone work checks against the
+same bounds.
 
 :func:`normal_powers` takes the polynomial each step is expected to be,
 and compares the step with it in packed form, word by word, with no
@@ -152,9 +154,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, islice, repeat
-from operator import lt, sub
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from itertools import islice, repeat
+from operator import sub
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .exactarith import (
     IntPolynomial,
@@ -428,9 +430,10 @@ def _respaced(terms: dict, old: int, new: int) -> dict:
 
 class _Cores:
     """The packed rules of one system and its table of core reductions, at
-    one width W = ``bits``; one instance serves one :func:`_power_pass`.
-    Each rule is the packed values of its replacement's words, values of
-    the same form as a step's terms, and is re-spaced with them."""
+    one width W = ``bits``, which only this class changes; one instance
+    serves one :func:`_power_pass`.  Each rule is the packed values of its
+    replacement's words, values of the same form as a step's terms, and is
+    re-spaced with them."""
 
     def __init__(self, system: RelationSystem):
         self.system = system
@@ -443,19 +446,14 @@ class _Cores:
 
     def widen(self, bound: int, terms: dict) -> dict:
         """Move to a width at least ``_START_BITS`` whose 2^(W-1) exceeds
-        ``bound`` by a margin: re-space the rules, the table and the packed
-        values ``terms``, and return the new terms."""
+        ``bound`` by a margin: re-space the rules and the packed values
+        ``terms``, return the new terms, and empty the table, so that each
+        core is reduced again at the new width when a step needs it."""
         old = self.bits
         need = bound.bit_length() + 1
         self.bits = bits = max(_START_BITS, 8 * ((need + need // 8) // 8 + 1))
         self.rules = {p: _respaced(r, old, bits) for p, r in self.rules.items()}
-        self.table = {
-            core: [
-                (w, (shift // old * bits, kronecker_respace(r, old, bits), k, b, a))
-                for w, (shift, r, k, b, a) in reduced
-            ]
-            for core, reduced in self.table.items()
-        }
+        self.table = {}
         return _respaced(terms, old, bits)
 
     def pack(self, p: NCPolynomial) -> dict:
@@ -470,24 +468,33 @@ class _Cores:
             for w, c in p.items()
         }
 
-    def run(self, work: Generator[str, None, dict]) -> dict:
-        """The value of a step generator (see :func:`_normalize_step`).
+    def run(
+        self, step: Callable[[dict], Generator[str, None, dict]], terms: dict
+    ) -> dict:
+        """The value of the step generator ``step(terms)`` (see
+        :func:`_normalize_step`), for the packed values ``terms``.
 
         Each core it asks for is reduced by a generator of its own, on an
         explicit stack, and stored in the table before the one that asked
-        resumes; so no word is too long for the recursion limit."""
-        stack = [(None, work)]
+        resumes; so no word is too long for the recursion limit.  On an
+        overflow the terms are widened and the step is built on them again
+        and redone, until it fits."""
         while True:
-            core, top = stack[-1]
+            stack = [(None, step(terms))]
             try:
-                need = next(top)
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                self.table[core] = done.value
-            else:
-                stack.append((need, _reduce_word(need, self)))
+                while True:
+                    core, top = stack[-1]
+                    try:
+                        need = next(top)
+                    except StopIteration as done:
+                        stack.pop()
+                        if not stack:
+                            return done.value
+                        self.table[core] = done.value
+                    else:
+                        stack.append((need, _reduce_word(need, self)))
+            except _Overflow as err:
+                terms = self.widen(err.bound, terms)
 
 
 def _decode(terms: dict, bits: int) -> NCPolynomial:
@@ -636,39 +643,24 @@ def _half_step(p: NCPolynomial, letters: str, system: RelationSystem) -> bool:
     )
 
 
-def _step_pairs(
-    terms: dict, letters: str, system: RelationSystem, half: bool
-) -> Iterable[tuple]:
-    """The triples (w, v, xs) of a step of :func:`_power_pass` for
-    :func:`_normalize_step`: each word w of ``terms``, its value and the
-    letters to append to it, all of them in a full step, and in a half step
-    only each x with g(w) + g(x) <= 0.  The grade of a letter is -1, 0 or 1,
-    so a word of grade below -1 takes every letter and one above 1 none."""
-    if not half:
-        return zip(terms, terms.values(), repeat(letters))
-    grade, first, last = system.grade, system.normal_order[0], system.normal_order[-1]
-    taken = {g: [x for x in letters if g + grade(x) <= 0] for g in (-1, 0, 1)}
-    top = max(map(len, terms), default=0)
-    taken.update(dict.fromkeys(range(-top, -1), letters))
-    taken.update(dict.fromkeys(range(2, top + 1), ()))
-    grades = map(
-        sub, map(str.count, terms, repeat(first)), map(str.count, terms, repeat(last))
-    )
-    return zip(terms, terms.values(), map(taken.__getitem__, grades))
-
-
-def _mirror_filled(terms: dict, system: RelationSystem) -> dict:
-    """``terms`` with each word of grade < 0 giving its packed value to its
+def _mirrored(step: dict, taken: dict, system: RelationSystem) -> tuple[dict, list]:
+    """A half step of :func:`_power_pass`, ``step``, whose words all have
+    grade <= 0, with each word w of grade < 0 giving its packed value to its
     mirror tau(w), the word reversed with the first and last letters of the
-    normal order swapped, whose grade is -g(w) > 0."""
+    normal order swapped, whose grade is -g(w) > 0; and the letters that the
+    next step appends to each word of the result, in order: each x with
+    g + g(x) <= 0 for the word's grade g, which ``taken[g]`` holds for g in
+    {-1, 0, 1}.  The grade of a letter is -1, 0 or 1, so a word of grade
+    below -1 takes every letter and one above 1 none.  Each grade is counted
+    once, on the words computed; a mirror's is minus its word's."""
     swap, first, last = system.mirror, system.normal_order[0], system.normal_order[-1]
-    negative = map(
-        lt, map(str.count, terms, repeat(first)), map(str.count, terms, repeat(last))
-    )
-    terms.update(
-        [(w.translate(swap)[::-1], v) for w, v in compress(terms.items(), negative)]
-    )
-    return terms
+    firsts = map(str.count, step, repeat(first))
+    grades = list(map(sub, firsts, map(str.count, step, repeat(last))))
+    negative = [(w, v, g) for w, v, g in zip(step, step.values(), grades) if g < 0]
+    takes = [taken[max(g, -1)] for g in grades]
+    takes += [taken.get(-g, "") for _, _, g in negative]
+    step.update([(w.translate(swap)[::-1], v) for w, v, _ in negative])
+    return step, takes
 
 
 def _power_pass(
@@ -676,34 +668,34 @@ def _power_pass(
 ) -> Iterator[tuple[dict, int]]:
     """The packed normal forms of p, p s, p s^2, ... and their widths, s the
     sum of the letters: the first step inserts each word of p letter by
-    letter after the empty word, and each later one appends every letter to
-    every word of the last.  A step that overflows is redone on its input
-    re-encoded wider.
+    letter after the empty word, and each later one appends to each word of
+    the last the letters it takes, in a full step all of them.
+    :meth:`_Cores.run` redoes a step that overflows on its input widened,
+    whose words keep their order, and so their letters.
 
     When :func:`_half_step` shows every step tau-invariant, each step after
     the first is a half step: it computes only the words of grade <= 0, and
-    each word of grade > 0 takes the packed value of its mirror.  tau maps
-    g to -g, so every word of grade > 0 has its mirror among the words
-    computed, and a mirror that is absent is zero.  The copy is made after
-    the step's values are checked, so a redone step copies again at its
-    new width."""
+    :func:`_mirrored` gives each word of grade > 0 the packed value of its
+    mirror.  tau maps g to -g, so every word of grade > 0 has its mirror
+    among the words computed, and a mirror that is absent is zero.  The copy
+    is made after the step's values are checked, at the width they were
+    checked at."""
     cores = _Cores(system)
-    half = _half_step(p, letters, system)
-    terms, started = cores.pack(p), False
+    terms = cores.run(
+        lambda t: _insert((("", v, w) for w, v in t.items()), cores), cores.pack(p)
+    )
+    half, takes = _half_step(p, letters, system), repeat(letters)
+    if half:
+        grade = system.grade
+        taken = {g: "".join(x for x in letters if grade(x) <= -g) for g in (-1, 0, 1)}
+        takes = [taken[grade(w)] for w in terms]  # the words of c s are letters
     while True:
-        if started:
-            pairs = _step_pairs(terms, letters, system, half)
-            work = _normalize_step(pairs, cores)
-        else:
-            work = _insert((("", v, w) for w, v in terms.items()), cores)
-        try:
-            step = cores.run(work)
-        except _Overflow as err:
-            terms = cores.widen(err.bound, terms)
-            continue
-        terms = _mirror_filled(step, system) if started and half else step
         yield terms, cores.bits
-        started = True
+        terms = cores.run(
+            lambda t: _normalize_step(zip(t, t.values(), takes), cores), terms
+        )
+        if half:
+            terms, takes = _mirrored(terms, taken, system)
 
 
 def _packed_over(value: RationalFunction, k: int, bits: int) -> Optional[int]:

@@ -454,23 +454,27 @@ class TestNormalizeProperties:
                 p = NCPolynomial([(w1, c1), (w2, c2)])
                 assert normalize(p, system) == reduce_randomly(p, system, rng)
 
-    def test_finished_cores_survive_a_widening(self, monkeypatch, widths):
-        # a^30 b^30 in System A overflows four times; each core finished
-        # before an overflow stays in the table, re-spaced, and only the
-        # cores still in progress are reduced again, at the wider width
-        started, finished = [], set()
-        reduce_word = ordering._reduce_word
+    def test_a_widening_empties_the_core_table(self, monkeypatch, widths):
+        # a^30 b^30 in System A overflows four times; each widening empties
+        # the table, and the redone step reduces each core it needs again,
+        # once at each width
+        started, tables = [], []
+        reduce_word, widen = ordering._reduce_word, ordering._Cores.widen
 
         def recording(word, cores):
-            assert word not in finished
             started.append((word, cores.bits))
-            reduced = yield from reduce_word(word, cores)
-            finished.add(word)
-            return reduced
+            return (yield from reduce_word(word, cores))
+
+        def recording_widen(cores, bound, terms):
+            rewidened = widen(cores, bound, terms)
+            tables.append(len(cores.table))
+            return rewidened
 
         monkeypatch.setattr(ordering, "_reduce_word", recording)
+        monkeypatch.setattr(ordering._Cores, "widen", recording_widen)
         result = normalize(word_poly("a" * 30 + "b" * 30), SYSTEM_A)
         assert len(widths) > 2  # the first width, then at least two more
+        assert tables == [0] * (len(widths) - 1)
         assert len(started) == len(set(started))
         assert result == to_nc(ref.a_power_b_power(30, 30))
 
@@ -678,6 +682,33 @@ class TestPowerPass:
         p = NCPolynomial({"a": RF_ONE, "b": over_one_minus_q((1,), 1)})
         assert normalize(p, SYSTEM_A) == p
 
+    @pytest.mark.parametrize(
+        "system, p, letters, steps",
+        [
+            (SYSTEM_A, word_poly("a" * 30 + "b" * 30), "", 1),
+            (SYSTEM_A, base_sum(SYSTEM_A), _letters(SYSTEM_A), 40),
+            (SYSTEM_B, base_sum(SYSTEM_B), _letters(SYSTEM_B), 30),
+        ],
+        ids=["normalize-A", "half-steps-A", "half-steps-B"],
+    )
+    def test_a_redone_step_equals_a_fresh_one(
+        self, system, p, letters, steps, monkeypatch, widths
+    ):
+        # from 64 bits the pass widens, and each step that overflows is
+        # redone on its input re-spaced, with an empty table and, in a half
+        # step, each word's letters; started at the last width reached, the
+        # pass never widens, and its steps must be the same
+        redone = list(islice(ordering._power_pass(p, letters, system), steps))
+        bits = redone[-1][1]
+        assert len(widths) > 1 and bits > 64
+        widths.clear()
+        monkeypatch.setattr(ordering, "_START_BITS", bits)
+        fresh = list(islice(ordering._power_pass(p, letters, system), steps))
+        assert widths == [bits]
+        assert list(fresh[-1][0].items()) == list(redone[-1][0].items())
+        decoded = [ordering._decode(*step) for step in redone]
+        assert [ordering._decode(*step) for step in fresh] == decoded
+
 
 @pytest.fixture
 def lifts(monkeypatch):
@@ -863,14 +894,43 @@ def _recorded_fills(monkeypatch):
     """The packed steps that a half step fills from their mirrors, one
     entry per fill, from now on."""
     fills = []
-    fill = ordering._mirror_filled
+    mirrored = ordering._mirrored
 
-    def recording(terms, system):
-        fills.append(terms)
-        return fill(terms, system)
+    def recording(step, taken, system):
+        fills.append(step)
+        return mirrored(step, taken, system)
 
-    monkeypatch.setattr(ordering, "_mirror_filled", recording)
+    monkeypatch.setattr(ordering, "_mirrored", recording)
     return fills
+
+
+def _recorded_pairs(monkeypatch):
+    """The (word, letter) pairs that each step after the first multiplies,
+    one entry per step run, from now on: the pairs that a step builder
+    hands to ``_normalize_step`` while :meth:`_Cores.run` builds it, and
+    not those of the insertions within a core reduction."""
+    counted, building = [], []
+    run, normalize_step = ordering._Cores.run, ordering._normalize_step
+
+    def recording_run(cores, step, terms):
+        def built(t):
+            building.append(t)
+            try:
+                return step(t)
+            finally:
+                building.pop()
+
+        return run(cores, built, terms)
+
+    def recording_step(pairs, cores):
+        if building:
+            pairs = list(pairs)
+            counted.append(sum(len(xs) for _, _, xs in pairs))
+        return normalize_step(pairs, cores)
+
+    monkeypatch.setattr(ordering._Cores, "run", recording_run)
+    monkeypatch.setattr(ordering, "_normalize_step", recording_step)
+    return counted
 
 
 class TestHalfStep:
@@ -903,22 +963,14 @@ class TestHalfStep:
         # multiply: 2754 pairs in full, so a guard that refuses the sum of
         # the letters shows here and not only in the benchmark
         fills = _recorded_fills(monkeypatch)
-        counted = []
-        step_pairs = ordering._step_pairs
-
-        def recording(terms, letters, system, half):
-            pairs = list(step_pairs(terms, letters, system, half))
-            counted.append(sum(len(xs) for _, _, xs in pairs))
-            return pairs
-
-        monkeypatch.setattr(ordering, "_step_pairs", recording)
+        counted = _recorded_pairs(monkeypatch)
         halved = expand_oracle(SYSTEM_A, 24)
-        assert (sum(counted), len(fills)) == (1455, 23)
+        assert (len(counted), sum(counted), len(fills)) == (23, 1455, 23)
         counted.clear()
         fills.clear()
         monkeypatch.setattr(ordering, "_half_step", lambda p, letters, system: False)
         assert expand_oracle(SYSTEM_A, 24) == halved
-        assert (sum(counted), len(fills)) == (2754, 0)
+        assert (len(counted), sum(counted), len(fills)) == (23, 2754, 0)
 
     def test_a_redone_half_step_fills_at_its_new_width(self, monkeypatch, widths):
         # the coefficients of (a+b)^40 need 91 bits: the steps that overflow
@@ -978,18 +1030,19 @@ class TestQIntegerFactors:
         assert any(seen)
 
     def test_tags_survive_a_widening(self, monkeypatch):
-        tables = []
-        widen = ordering._Cores.widen
+        # the coefficients of (a+b)^40 need 91 bits: each core reduced again
+        # after a widening is tagged at the wider width
+        wide = []
+        reduce_word = ordering._reduce_word
 
-        def recording(cores, bound, terms):
-            rewidened = widen(cores, bound, terms)
-            untagged = [_check_tags(r, cores.bits) for r in cores.table.values()]
-            tables.append((len(untagged), sum(untagged)))
-            return rewidened
+        def recording(word, cores):
+            reduced = yield from reduce_word(word, cores)
+            if cores.bits > 64:
+                wide.append(_check_tags(reduced, cores.bits))
+            return reduced
 
-        monkeypatch.setattr(ordering._Cores, "widen", recording)
+        monkeypatch.setattr(ordering, "_reduce_word", recording)
         s = base_sum(SYSTEM_A)
         result = normal_power(s, _letters(SYSTEM_A), 39, SYSTEM_A)
         assert result == expand_formula(SYSTEM_A, 40)
-        assert any(size for size, _ in tables)  # a widening re-spaced cores
-        assert not any(untagged for _, untagged in tables)
+        assert wide and not any(wide)  # reduced above 64 bits, all tagged
