@@ -38,7 +38,8 @@ prefix is shorter, and u w itself is smaller than u y x because the
 rule shrinks in deglex.  Since deglex is a well-order, the reduction
 ends.  The needs of one word may nest as deep as the word is long, so
 they are walked on an explicit stack of suspended reductions, not by
-recursion.
+recursion.  Each insertion step is made in line by the insertion, with
+no generator of its own.
 
 A prefix can be inert for the letter x being appended.  Let t(x) be the
 lowest rank that a rewrite of a word whose letters rank at least rank(x)
@@ -72,8 +73,13 @@ form of a word w x has only words of grade g(w) + g(x).  A pass of c s,
 for one coefficient c and s the sum of distinct letters closed under tau,
 has tau-invariant steps c s^(n+1).  So each of its steps after the first
 is a half step: it multiplies only the pairs (w, x) with g(w) + g(x) <= 0,
-and gives each word of grade > 0 the packed value of its mirror, whose
-grade is below 0.  A tau-invariant input is not enough: tau(p s^n) =
+and the pass keeps only the words these make, those of grade <= 0.  A
+letter has grade -1, 0 or 1, so of the words of grade > 0 only those of
+grade 1 take a letter, those of grade -1, and the next step makes each of
+them as the mirror of a kept word of grade -1, with that word's packed
+value; no other mirror is made inside the pass.  A caller that reads a
+step fills it first: each kept word of grade < 0 gives its packed value to
+its mirror.  A tau-invariant input is not enough: tau(p s^n) =
 s^n tau(p), which is p s^n only when p commutes with s, and the inputs c
 and ab + ba of System A are tau-invariant while their steps are not.
 Every other pass takes full steps.
@@ -154,7 +160,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
@@ -530,8 +536,8 @@ def _normalize_step(
 
     Every rule of a system with a mirror keeps the grade g, so the normal
     form of w x has only words of grade g(w) + g(x): a half step of
-    :func:`_power_pass` leaves out each pair whose words it copies from
-    their mirrors, and its words of grade <= 0 are still exact.
+    :func:`_power_pass` leaves out each pair with g(w) + g(x) > 0, and its
+    words of grade <= 0 are still exact.
 
     A generator for :meth:`_Cores.run`: it yields each core that the table
     lacks, resumes once that core is stored, and returns the normal form."""
@@ -549,27 +555,50 @@ def _normalize_step(
             if reduced is None:
                 yield core
                 reduced = table[core]
-            for w, (shift, r, kr, br, a) in reduced:
-                if a == 1:  # [1] = 1: a monomial factor costs its shift alone
-                    product = n << shift
-                else:
-                    product = (_times_q_int(n, a, bits) if a else n * r) << shift
-                _add(total, prefix + w, product, k + kr, b * br, bits)
+            _times_core(total, prefix, reduced, n, k, b, bits)
     return _checked(total, bits)
+
+
+def _times_core(
+    total: dict, prefix: str, reduced: list, n: int, k: int, b: int, bits: int
+) -> None:
+    """Add to ``total`` the packed value (n, k, b) times each term of the
+    stored reduction ``reduced`` of a core, its word after ``prefix``: the
+    one loop that applies a core's factors, for :func:`_normalize_step` and
+    for the steps that :func:`_insert` makes itself."""
+    for w, (shift, r, kr, br, a) in reduced:
+        if a == 1:  # [1] = 1: a monomial factor costs its shift alone
+            product = n << shift
+        else:
+            product = (_times_q_int(n, a, bits) if a else n * r) << shift
+        _add(total, prefix + w, product, k + kr, b * br, bits)
 
 
 def _insert(items: Iterable[tuple], cores: _Cores) -> Generator[str, None, dict]:
     """The packed normal form of the sum of v * u x over the triples (u, v,
     x) of ``items``, u a normal word, v a packed value and x a word, zero
     terms dropped: the letters of x are appended to u one at a time, each
-    by one :func:`_normalize_step`, whose requests for cores it passes on."""
-    bits = cores.bits
+    step made here as :func:`_normalize_step` makes a step, with no
+    generator of its own, and checked by :func:`_checked`."""
+    rank, inert = cores.system.rank, cores.system._inert
+    table, bits = cores.table, cores.bits
     total: dict = {}
     for u, value, x in items:
         terms = {u: value}
         for letter in x:
-            pairs = zip(terms, terms.values(), repeat(letter))
-            terms = yield from _normalize_step(pairs, cores)
+            step: dict = {}
+            for word, (n, k, b) in terms.items():
+                if not word or rank[word[-1]] <= rank[letter]:
+                    _add(step, word + letter, n, k, b, bits)
+                    continue
+                rest = word.lstrip(inert[letter])
+                prefix, core = word[: len(word) - len(rest)], rest + letter
+                reduced = table.get(core)
+                if reduced is None:
+                    yield core
+                    reduced = table[core]
+                _times_core(step, prefix, reduced, n, k, b, bits)
+            terms = _checked(step, bits)
         for w, (n, k, b) in terms.items():
             _add(total, w, n, k, b, bits)
     return _checked(total, bits)
@@ -643,59 +672,61 @@ def _half_step(p: NCPolynomial, letters: str, system: RelationSystem) -> bool:
     )
 
 
-def _mirrored(step: dict, taken: dict, system: RelationSystem) -> tuple[dict, list]:
-    """A half step of :func:`_power_pass`, ``step``, whose words all have
-    grade <= 0, with each word w of grade < 0 giving its packed value to its
-    mirror tau(w), the word reversed with the first and last letters of the
-    normal order swapped, whose grade is -g(w) > 0; and the letters that the
-    next step appends to each word of the result, in order: each x with
-    g + g(x) <= 0 for the word's grade g, which ``taken[g]`` holds for g in
-    {-1, 0, 1}.  The grade of a letter is -1, 0 or 1, so a word of grade
-    below -1 takes every letter and one above 1 none.  Each grade is counted
-    once, on the words computed; a mirror's is minus its word's."""
-    swap, first, last = system.mirror, system.normal_order[0], system.normal_order[-1]
-    firsts = map(str.count, step, repeat(first))
-    grades = list(map(sub, firsts, map(str.count, step, repeat(last))))
-    negative = [(w, v, g) for w, v, g in zip(step, step.values(), grades) if g < 0]
-    takes = [taken[max(g, -1)] for g in grades]
-    takes += [taken.get(-g, "") for _, _, g in negative]
-    step.update([(w.translate(swap)[::-1], v) for w, v, _ in negative])
-    return step, takes
+def _filled(terms: dict, lower: dict, system: RelationSystem) -> dict:
+    """The step ``terms`` with each word w of ``lower`` giving its packed
+    value to its mirror tau(w), the word reversed with the first and last
+    letters of the normal order swapped, whose grade is -g(w) > 0."""
+    if not lower:
+        return terms
+    swap = system.mirror
+    return terms | {w.translate(swap)[::-1]: terms[w] for w in lower}
 
 
 def _power_pass(
     p: NCPolynomial, letters: str, system: RelationSystem
-) -> Iterator[tuple[dict, int]]:
-    """The packed normal forms of p, p s, p s^2, ... and their widths, s the
-    sum of the letters: the first step inserts each word of p letter by
-    letter after the empty word, and each later one appends to each word of
-    the last the letters it takes, in a full step all of them.
+) -> Iterator[tuple[dict, int, dict]]:
+    """The packed normal forms of p, p s, p s^2, ..., s the sum of the
+    letters, each with its width and the words of grade < 0 whose mirrors
+    :func:`_filled` adds to it: the first step inserts each word of p letter
+    by letter after the empty word, and each later one appends to each word
+    of the last the letters it takes, in a full step all of them.
     :meth:`_Cores.run` redoes a step that overflows on its input widened,
     whose words keep their order, and so their letters.
 
     When :func:`_half_step` shows every step tau-invariant, each step after
-    the first is a half step: it computes only the words of grade <= 0, and
-    :func:`_mirrored` gives each word of grade > 0 the packed value of its
-    mirror.  tau maps g to -g, so every word of grade > 0 has its mirror
-    among the words computed, and a mirror that is absent is zero.  The copy
-    is made after the step's values are checked, at the width they were
-    checked at."""
+    the first is a half step, and the pass keeps only the words it
+    computes, those of grade <= 0; a caller fills in the rest.  tau maps g
+    to -g, so each word of grade > 0 is the mirror of a word kept, and a
+    mirror that is absent is zero.  A word of grade g takes the letters x
+    with g + g(x) <= 0, and the grade of a letter is -1, 0 or 1: a word of
+    grade 1 takes the letters of grade -1, and one of grade 2 or more none.
+    So the next step also extends the mirror of each word of grade -1 kept,
+    with the value that it reads from its input, re-spaced when the step is
+    redone wider, and makes no other mirror.  Each grade is counted once."""
     cores = _Cores(system)
     terms = cores.run(
         lambda t: _insert((("", v, w) for w, v in t.items()), cores), cores.pack(p)
     )
-    half, takes = _half_step(p, letters, system), repeat(letters)
+    grade, swap = system.grade, system.mirror
+    first, last = system.normal_order[0], system.normal_order[-1]
+    taken = {g: "".join(x for x in letters if grade(x) <= -g) for g in (-1, 0, 1)}
+    half, takes, lower = _half_step(p, letters, system), repeat(letters), {}
     if half:
-        grade = system.grade
-        taken = {g: "".join(x for x in letters if grade(x) <= -g) for g in (-1, 0, 1)}
         takes = [taken[grade(w)] for w in terms]  # the words of c s are letters
+
+    def step(t: dict) -> Generator[str, None, dict]:
+        ones = (w for w, g in lower.items() if g == -1)
+        ups = ((w.translate(swap)[::-1], t[w], taken[1]) for w in ones)
+        return _normalize_step(chain(zip(t, t.values(), takes), ups), cores)
+
     while True:
-        yield terms, cores.bits
-        terms = cores.run(
-            lambda t: _normalize_step(zip(t, t.values(), takes), cores), terms
-        )
+        yield terms, cores.bits, lower
+        terms = cores.run(step, terms)
         if half:
-            terms, takes = _mirrored(terms, taken, system)
+            firsts = map(str.count, terms, repeat(first))
+            grades = list(map(sub, firsts, map(str.count, terms, repeat(last))))
+            takes = [taken[max(g, -1)] for g in grades]
+            lower = {w: g for w, g in zip(terms, grades) if g < 0}
 
 
 def _packed_over(value: RationalFunction, k: int, bits: int) -> Optional[int]:
@@ -741,11 +772,13 @@ def normal_powers(
     system: RelationSystem,
 ) -> Iterator[NCPolynomial]:
     """The normal forms of p, p s, p s^2, ..., s the sum of the letters, one
-    per polynomial of ``expected``, from one pass: a step proven equal to
+    per polynomial of ``expected``, from one pass: each step is filled from
+    its mirrors (:func:`_filled`) and then compared, a step proven equal to
     its expected polynomial in packed form is that polynomial itself, and
     any other step, one that differs or that no bound decides, is
     decoded."""
-    for want, (terms, bits) in zip(expected, _power_pass(p, letters, system)):
+    for want, (terms, bits, lower) in zip(expected, _power_pass(p, letters, system)):
+        terms = _filled(terms, lower, system)
         yield want if _proven_equal(terms, bits, want) else _decode(terms, bits)
 
 
@@ -753,8 +786,10 @@ def normal_power(
     p: NCPolynomial, letters: str, n: int, system: RelationSystem
 ) -> NCPolynomial:
     """The normal form of p s^n, s the sum of the letters, from one pass
-    that decodes only its last step."""
-    return _decode(*next(islice(_power_pass(p, letters, system), n, None)))
+    that fills from its mirrors (:func:`_filled`) and decodes only its last
+    step."""
+    terms, bits, lower = next(islice(_power_pass(p, letters, system), n, None))
+    return _decode(_filled(terms, lower, system), bits)
 
 
 def normalize(p: NCPolynomial, system: RelationSystem) -> NCPolynomial:

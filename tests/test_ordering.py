@@ -34,7 +34,7 @@ from qexpand.ordering import (
     normalize,
 )
 from qexpand.qnumbers import xi
-from qexpand.verify import base_sum, expand_formula, expand_oracle
+from qexpand.verify import _compare, base_sum, expand_formula, expand_oracle
 
 P = IntPolynomial
 
@@ -696,18 +696,42 @@ class TestPowerPass:
     ):
         # from 64 bits the pass widens, and each step that overflows is
         # redone on its input re-spaced, with an empty table and, in a half
-        # step, each word's letters; started at the last width reached, the
-        # pass never widens, and its steps must be the same
-        redone = list(islice(ordering._power_pass(p, letters, system), steps))
+        # step, each word's letters and the mirrors of its words of grade
+        # -1; started at the last width reached, the pass never widens, and
+        # its steps, filled, must be the same
+        redone = _filled_steps(p, letters, system, steps)
         bits = redone[-1][1]
         assert len(widths) > 1 and bits > 64
         widths.clear()
         monkeypatch.setattr(ordering, "_START_BITS", bits)
-        fresh = list(islice(ordering._power_pass(p, letters, system), steps))
+        fresh = _filled_steps(p, letters, system, steps)
         assert widths == [bits]
         assert list(fresh[-1][0].items()) == list(redone[-1][0].items())
         decoded = [ordering._decode(*step) for step in redone]
         assert [ordering._decode(*step) for step in fresh] == decoded
+
+
+    def test_insertion_steps_make_no_generator(self, monkeypatch):
+        # each step of a core reduction is made in line by _insert, so the
+        # only _normalize_step generators are the 23 steps of the pass,
+        # against one per inserted letter (523) when it made one
+        made = []
+        normalize_step = ordering._normalize_step
+
+        def counting(pairs, cores):
+            made.append(1)
+            return normalize_step(pairs, cores)
+
+        monkeypatch.setattr(ordering, "_normalize_step", counting)
+        assert expand_oracle(SYSTEM_A, 24) == expand_formula(SYSTEM_A, 24)
+        assert len(made) == 23
+
+
+def _filled_steps(p, letters, system, steps):
+    """The first steps of the pass of p, each filled from its mirrors as a
+    caller fills it, with its width."""
+    kept = islice(ordering._power_pass(p, letters, system), steps)
+    return [(ordering._filled(t, lower, system), bits) for t, bits, lower in kept]
 
 
 @pytest.fixture
@@ -754,23 +778,30 @@ class TestPackedComparison:
                     kronecker_pack(cs, bits)
 
     def test_a_step_that_differs_is_decoded(self):
+        # bcaa has grade -1 and the pass keeps its value; its mirror bbca
+        # has grade 1, and its value is filled in from bcaa's
         s, letters = base_sum(SYSTEM_A), _letters(SYSTEM_A)
         right = expand_formula(SYSTEM_A, 5)
         terms = dict(right.items())
-        value = terms["bcaa"]
-        wrong = [
-            {**terms, "bcaa": to_rf(ref.frac_add(of_rf(value), ref.ONE))},
-            {w: c for w, c in terms.items() if w != "bcaa"},  # a missing word
-            {**terms, "cccc": RF_ONE},  # an extra word
-            # as many words, one of them in place of another
-            {**{w: c for w, c in terms.items() if w != "bcaa"}, "cccc": value},
-            # over a higher power of 1 - q than the step's own
-            {**terms, "bcaa": to_rf(ref.frac_mul(of_rf(value), ref.frac((1,), 1)))},
-        ]
-        for want in map(NCPolynomial, wrong):
-            expected = [*islice(_decoded_powers(s, letters, SYSTEM_A), 4), want]
-            step = list(normal_powers(s, letters, expected, SYSTEM_A))[-1]
-            assert step is not want and step == right
+        for word in ("bcaa", "bbca"):
+            value = terms[word]
+            others = {w: c for w, c in terms.items() if w != word}
+            changed = {**terms, word: to_rf(ref.frac_add(of_rf(value), ref.ONE))}
+            wrong = [
+                changed,
+                others,  # a missing word
+                {**terms, "cccc": RF_ONE},  # an extra word
+                # as many words, one of them in place of another
+                {**others, "cccc": value},
+                # over a higher power of 1 - q than the step's own
+                {**terms, word: to_rf(ref.frac_mul(of_rf(value), ref.frac((1,), 1)))},
+            ]
+            for want in map(NCPolynomial, wrong):
+                expected = [*islice(_decoded_powers(s, letters, SYSTEM_A), 4), want]
+                step = list(normal_powers(s, letters, expected, SYSTEM_A))[-1]
+                assert step is not want and step == right
+                if want == NCPolynomial(changed):
+                    assert [m.word for m in _compare(want, step)] == [word]
 
     def test_a_step_over_a_higher_power_is_lifted(self, lifts, reduce_randomly):
         # ac -> q^2 ca + xi bb, so the bb of ac - 2q/(1-q) bb is
@@ -891,24 +922,26 @@ def _regraded_system():
 
 
 def _recorded_fills(monkeypatch):
-    """The packed steps that a half step fills from their mirrors, one
-    entry per fill, from now on."""
+    """The number of mirrors that each fill of a step adds to it, one entry
+    per fill, from now on."""
     fills = []
-    mirrored = ordering._mirrored
+    filled = ordering._filled
 
-    def recording(step, taken, system):
-        fills.append(step)
-        return mirrored(step, taken, system)
+    def recording(terms, lower, system):
+        out = filled(terms, lower, system)
+        fills.append(len(out) - len(terms))
+        return out
 
-    monkeypatch.setattr(ordering, "_mirrored", recording)
+    monkeypatch.setattr(ordering, "_filled", recording)
     return fills
 
 
 def _recorded_pairs(monkeypatch):
-    """The (word, letter) pairs that each step after the first multiplies,
-    one entry per step run, from now on: the pairs that a step builder
-    hands to ``_normalize_step`` while :meth:`_Cores.run` builds it, and
-    not those of the insertions within a core reduction."""
+    """(pairs, mirrors) for each step after the first, one entry per step
+    run, from now on: the number of (word, letter) pairs that a step builder
+    hands to ``_normalize_step`` while :meth:`_Cores.run` builds it, not
+    those of the insertions within a core reduction, and the number of
+    those words that are mirrors it made, absent from its input."""
     counted, building = [], []
     run, normalize_step = ordering._Cores.run, ordering._normalize_step
 
@@ -925,7 +958,8 @@ def _recorded_pairs(monkeypatch):
     def recording_step(pairs, cores):
         if building:
             pairs = list(pairs)
-            counted.append(sum(len(xs) for _, _, xs in pairs))
+            made = sum(w not in building[-1] for w, _, _ in pairs)
+            counted.append((sum(len(xs) for _, _, xs in pairs), made))
         return normalize_step(pairs, cores)
 
     monkeypatch.setattr(ordering._Cores, "run", recording_run)
@@ -941,6 +975,7 @@ class TestHalfStep:
         # with s has steps that are not tau-symmetric, so its pass must
         # compute every word; so must a pass in a system with no mirror
         fills = _recorded_fills(monkeypatch)
+        counted = _recorded_pairs(monkeypatch)
         rng = random.Random(32)
         for system, p, letters in (
             (SYSTEM_A, word_poly("c"), "ab"),
@@ -956,29 +991,56 @@ class TestHalfStep:
             for step in islice(_decoded_powers(p, letters, system), 6):
                 assert step == reduce_randomly(to_nc(product), system, rng)
                 product = ref.nc_mul(product, of_nc(s))
-        assert fills == []
+        assert fills and not any(fills)
+        assert counted and not any(made for _, made in counted)
 
     def test_the_oracle_pass_multiplies_half_of_the_pairs(self, monkeypatch):
         # the (word, letter) pairs that the steps of expand_oracle(A, 24)
         # multiply: 2754 pairs in full, so a guard that refuses the sum of
-        # the letters shows here and not only in the benchmark
+        # the letters shows here and not only in the benchmark.  The pass
+        # makes the 77 mirrors of grade 1 that take a letter, and the one
+        # fill the 78 of the step handed out
         fills = _recorded_fills(monkeypatch)
         counted = _recorded_pairs(monkeypatch)
         halved = expand_oracle(SYSTEM_A, 24)
-        assert (len(counted), sum(counted), len(fills)) == (23, 1455, 23)
+        pairs, made = map(sum, zip(*counted))
+        assert (len(counted), pairs, made, fills) == (23, 1455, 77, [78])
         counted.clear()
         fills.clear()
         monkeypatch.setattr(ordering, "_half_step", lambda p, letters, system: False)
         assert expand_oracle(SYSTEM_A, 24) == halved
-        assert (len(counted), sum(counted), len(fills)) == (23, 2754, 0)
+        pairs, made = map(sum, zip(*counted))
+        assert (len(counted), pairs, made, fills) == (23, 2754, 0, [0])
 
     def test_a_redone_half_step_fills_at_its_new_width(self, monkeypatch, widths):
         # the coefficients of (a+b)^40 need 91 bits: the steps that overflow
-        # are redone wider, and each fill copies the redone values
+        # are redone wider, each reading its mirrors' values from its input
+        # re-spaced, and the one fill copies values of the last width
         fills = _recorded_fills(monkeypatch)
+        counted = _recorded_pairs(monkeypatch)
         s = base_sum(SYSTEM_A)
         assert normal_power(s, "ab", 39, SYSTEM_A) == expand_formula(SYSTEM_A, 40)
-        assert len(widths) > 1 and len(fills) == 39
+        assert len(widths) > 1 and len(counted) > 39 and len(fills) == 1
+
+    @pytest.mark.parametrize(
+        "system, steps", [(SYSTEM_A, 40), (SYSTEM_B, 30)], ids=["A", "B"]
+    )
+    def test_the_pass_keeps_only_its_half(self, system, steps, monkeypatch, widths):
+        # each step after the first keeps only its words of grade <= 0, and
+        # names those below 0; filled from their mirrors, the steps are the
+        # full steps, through the widenings of both passes
+        s, letters = base_sum(system), _letters(system)
+        kept = list(islice(ordering._power_pass(s, letters, system), steps))
+        assert len(widths) > 1
+        for terms, _, lower in kept[1:]:
+            assert max(map(system.grade, terms)) <= 0
+            assert lower == {w: system.grade(w) for w in terms if system.grade(w) < 0}
+        monkeypatch.setattr(ordering, "_half_step", lambda p, letters, system: False)
+        full = list(islice(ordering._power_pass(s, letters, system), steps))
+        assert not any(lower for _, _, lower in full)
+        for (terms, bits, lower), (want, want_bits, _) in zip(kept, full):
+            filled = ordering._decode(ordering._filled(terms, lower, system), bits)
+            assert filled == ordering._decode(want, want_bits)
 
 
 def _packed_q_int(a, bits):
